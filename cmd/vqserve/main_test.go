@@ -18,11 +18,15 @@ func TestDrainAndCloseBalancedAccounting(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 
-	// A nil model makes every request fail with "no model loaded" —
-	// errors still count toward the accounting invariant.
+	// A nil model makes every request, explain ones included, fail with
+	// "no model loaded" — errors still count toward the accounting
+	// invariant.
 	eng := serve.NewEngine(nil, serve.Config{Shards: 1})
 	for i := 0; i < 5; i++ {
-		eng.DiagnoseBatch([]serve.Request{{ID: "x", Features: map[string]float64{"f": 1}}})
+		res := eng.DiagnoseBatch([]serve.Request{{ID: "x", Features: map[string]float64{"f": 1}, Explain: i == 4}})
+		if res[0].Err != "no model loaded" {
+			t.Fatalf("request %d against a nil model: %+v, want \"no model loaded\"", i, res[0])
+		}
 	}
 
 	srv := &http.Server{Addr: "127.0.0.1:0"} // never started; Shutdown is a no-op

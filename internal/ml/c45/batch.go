@@ -3,7 +3,6 @@ package c45
 import (
 	"fmt"
 
-	"vqprobe/internal/metrics"
 	"vqprobe/internal/parallel"
 )
 
@@ -174,19 +173,6 @@ func (ct *CompiledTree) PredictBatchIdx(m *Matrix, s *BatchScratch, out []int32)
 	}
 }
 
-// PredictBatch classifies every matrix row, appending the predicted
-// class labels to out and returning it. Predictions are bit-identical
-// to calling PredictRow per row.
-func (ct *CompiledTree) PredictBatch(m *Matrix, out []string) []string {
-	var s BatchScratch
-	idx := make([]int32, m.Rows())
-	ct.PredictBatchIdx(m, &s, idx)
-	for _, i := range idx {
-		out = append(out, ct.classes[i])
-	}
-	return out
-}
-
 func (s *BatchScratch) forest(workers int) *forestScratch {
 	if s.f == nil {
 		s.f = &forestScratch{}
@@ -268,18 +254,6 @@ func (cf *CompiledForest) PredictBatchIdx(m *Matrix, s *BatchScratch, out []int3
 	}
 }
 
-// PredictBatch classifies every matrix row through the ensemble,
-// appending predicted class labels to out and returning it.
-func (cf *CompiledForest) PredictBatch(m *Matrix, out []string) []string {
-	var s BatchScratch
-	idx := make([]int32, m.Rows())
-	cf.PredictBatchIdx(m, &s, idx)
-	for _, i := range idx {
-		out = append(out, cf.classes[i])
-	}
-	return out
-}
-
 // BatchPredictor is the uniform serving surface of CompiledTree and
 // CompiledForest: schema-keyed matrix construction, scalar row
 // prediction, and allocation-free batch prediction. serve.Model holds
@@ -290,10 +264,8 @@ type BatchPredictor interface {
 	Nodes() int
 	Trees() int
 	NewMatrix(capacity int) *Matrix
-	Predict(fv metrics.Vector) string
 	PredictRow(row []float64) string
 	PredictBatchIdx(m *Matrix, s *BatchScratch, out []int32)
-	PredictBatch(m *Matrix, out []string) []string
 }
 
 var (

@@ -18,6 +18,19 @@ func fillMatrix(bp BatchPredictor, d *ml.Dataset) *Matrix {
 	return m
 }
 
+// batchLabels classifies every matrix row in one PredictBatchIdx sweep
+// and maps the class indices to labels.
+func batchLabels(bp BatchPredictor, m *Matrix) []string {
+	var s BatchScratch
+	idx := make([]int32, m.Rows())
+	bp.PredictBatchIdx(m, &s, idx)
+	out := make([]string, len(idx))
+	for r, i := range idx {
+		out[r] = bp.Classes()[i]
+	}
+	return out
+}
+
 // TestPredictBatchBitIdentical pins the tentpole guarantee: the batch
 // frontier sweep accumulates every row's class distribution in exactly
 // the scalar DFS order, so the per-row accumulators — not just the
@@ -52,7 +65,7 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			}
 		}
 
-		preds := ct.PredictBatch(m, nil)
+		preds := batchLabels(ct, m)
 		for r := 0; r < m.Rows(); r++ {
 			m.Row(r, row)
 			if want := ct.PredictRow(row); preds[r] != want {

@@ -19,12 +19,12 @@ import (
 // nodeArrays is the branch-free struct-of-arrays node layout: one flat
 // slice per field instead of a slice of node structs. Nodes are stored
 // in preorder, so both children of an internal node always have a
-// HIGHER index than their parent — the invariant that lets PredictBatch
-// resolve a whole frontier in one ascending index sweep and lets the
-// snapshot loader reject corrupt child pointers without reachability
-// analysis. The arrays are also exactly what WriteSnapshot serializes:
-// loading a snapshot is a single sequential decode back into this
-// layout, with no per-node reconstruction.
+// HIGHER index than their parent — the invariant that lets
+// PredictBatchIdx resolve a whole frontier in one ascending index sweep
+// and lets the snapshot loader reject corrupt child pointers without
+// reachability analysis. The arrays are also exactly what
+// WriteSnapshot serializes: loading a snapshot is a single sequential
+// decode back into this layout, with no per-node reconstruction.
 type nodeArrays struct {
 	feature []int32 // schema row index of the split feature; -1 for leaves
 	left    []int32
@@ -189,7 +189,7 @@ type cframe struct {
 // acc, visiting nodes in exactly the order Tree.classify recurses so
 // float accumulation is bit-identical. Because nodes are stored in
 // preorder, this go-left-stack-right traversal visits nodes in strictly
-// ascending index order — the property PredictBatch exploits.
+// ascending index order — the property PredictBatchIdx exploits.
 func (ct *CompiledTree) classifyRow(row []float64, acc []float64) {
 	var local [24]cframe
 	stack := local[:0]
@@ -232,38 +232,6 @@ func (ct *CompiledTree) PredictRow(row []float64) string {
 	acc := make([]float64, len(ct.classes))
 	ct.classifyRow(row, acc)
 	return ct.classes[majority(acc)]
-}
-
-// PredictRowInto classifies a row reusing a caller-owned accumulator
-// (len == len(Classes())); the hot path of the serving engine.
-func (ct *CompiledTree) PredictRowInto(row []float64, acc []float64) string {
-	for i := range acc {
-		acc[i] = 0
-	}
-	ct.classifyRow(row, acc)
-	return ct.classes[majority(acc)]
-}
-
-// Predict implements ml.Classifier.
-func (ct *CompiledTree) Predict(fv metrics.Vector) string {
-	return ct.PredictRow(ct.RowFromVector(fv))
-}
-
-// Distribution mirrors Tree.Distribution for the compiled form.
-func (ct *CompiledTree) Distribution(fv metrics.Vector) map[string]float64 {
-	acc := make([]float64, len(ct.classes))
-	ct.classifyRow(ct.RowFromVector(fv), acc)
-	var sum float64
-	for _, v := range acc {
-		sum += v
-	}
-	out := map[string]float64{}
-	for i, c := range ct.classes {
-		if sum > 0 {
-			out[c] = acc[i] / sum
-		}
-	}
-	return out
 }
 
 // CompiledForest is the flat serving form of a bagged Forest: every
@@ -381,9 +349,4 @@ func (cf *CompiledForest) PredictRow(row []float64) string {
 		}
 	}
 	return bi
-}
-
-// Predict implements ml.Classifier.
-func (cf *CompiledForest) Predict(fv metrics.Vector) string {
-	return cf.PredictRow(cf.RowFromVector(fv))
 }

@@ -2,6 +2,7 @@ package c45
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -45,12 +46,16 @@ func degrade(fv metrics.Vector, rng *rand.Rand) metrics.Vector {
 	return out
 }
 
-func sameDist(a, b map[string]float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
+// sameAcc reports whether the compiled and the pointer traversal leave
+// bit-identical class accumulators for fv — the sums Distribution and
+// every compiled predictor take their answer from.
+func sameAcc(ct *CompiledTree, tree *Tree, fv metrics.Vector) bool {
+	a := make([]float64, len(ct.Classes()))
+	ct.classifyRow(ct.RowFromVector(fv), a)
+	b := make([]float64, len(tree.classes))
+	tree.classify(tree.root, fv, 1, b)
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
@@ -58,7 +63,7 @@ func sameDist(a, b map[string]float64) bool {
 }
 
 // TestCompiledBitIdentical checks the acceptance criterion: compiled
-// predictions (and full distributions) match the pointer tree exactly,
+// predictions (and class accumulators) match the pointer tree exactly,
 // on complete vectors and on vectors with missing features.
 func TestCompiledBitIdentical(t *testing.T) {
 	tree, d := controlledTree(t)
@@ -72,11 +77,11 @@ func TestCompiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i, in := range d.Instances {
 		for _, fv := range []metrics.Vector{in.Features, degrade(in.Features, rng)} {
-			if got, want := ct.Predict(fv), tree.Predict(fv); got != want {
+			if got, want := ct.PredictRow(ct.RowFromVector(fv)), tree.Predict(fv); got != want {
 				t.Fatalf("instance %d: compiled=%q tree=%q", i, got, want)
 			}
-			if !sameDist(ct.Distribution(fv), tree.Distribution(fv)) {
-				t.Fatalf("instance %d: distributions diverge", i)
+			if !sameAcc(ct, tree, fv) {
+				t.Fatalf("instance %d: class accumulators diverge", i)
 			}
 		}
 	}
@@ -102,15 +107,15 @@ func TestCompiledRoundTripJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i, in := range d.Instances {
 		for _, fv := range []metrics.Vector{in.Features, degrade(in.Features, rng)} {
-			if got, want := ct.Predict(fv), tree.Predict(fv); got != want {
+			if got, want := ct.PredictRow(ct.RowFromVector(fv)), tree.Predict(fv); got != want {
 				t.Fatalf("instance %d: round-tripped compiled=%q original=%q", i, got, want)
 			}
 		}
 	}
 }
 
-// TestCompiledRowReuse checks the allocation-free serving entry points
-// agree with the allocating ones.
+// TestCompiledRowReuse checks that one schema row refilled in place
+// with FillRow classifies every instance like the pointer tree.
 func TestCompiledRowReuse(t *testing.T) {
 	tree, d := controlledTree(t)
 	ct, err := Compile(tree)
@@ -118,10 +123,9 @@ func TestCompiledRowReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := ct.NewRow()
-	acc := make([]float64, len(ct.Classes()))
 	for i, in := range d.Instances {
 		ct.FillRow(in.Features, row)
-		if got, want := ct.PredictRowInto(row, acc), tree.Predict(in.Features); got != want {
+		if got, want := ct.PredictRow(row), tree.Predict(in.Features); got != want {
 			t.Fatalf("instance %d: reused-row predict %q, want %q", i, got, want)
 		}
 	}
@@ -137,7 +141,7 @@ func TestCompileForest(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i, in := range d.Instances {
 		for _, fv := range []metrics.Vector{in.Features, degrade(in.Features, rng)} {
-			if got, want := cf.Predict(fv), forest.Predict(fv); got != want {
+			if got, want := cf.PredictRow(cf.RowFromVector(fv)), forest.Predict(fv); got != want {
 				t.Fatalf("instance %d: compiled forest=%q forest=%q", i, got, want)
 			}
 		}

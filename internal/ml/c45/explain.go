@@ -218,9 +218,3 @@ func (ct *CompiledTree) PredictRowExplain(row []float64) *Explanation {
 	e.Class = ct.classes[majority(acc)]
 	return e
 }
-
-// PredictExplain mirrors Tree.PredictExplain on the compiled form for
-// callers holding a named feature vector.
-func (ct *CompiledTree) PredictExplain(fv metrics.Vector) *Explanation {
-	return ct.PredictRowExplain(ct.RowFromVector(fv))
-}

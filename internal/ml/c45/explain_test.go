@@ -112,7 +112,7 @@ func TestExplainByteIdentical(t *testing.T) {
 	for i, in := range d.Instances {
 		for _, fv := range []metrics.Vector{in.Features, degrade(in.Features, rng)} {
 			ei := tree.PredictExplain(fv)
-			ec := ct.PredictExplain(fv)
+			ec := ct.PredictRowExplain(ct.RowFromVector(fv))
 			bi, err := json.Marshal(ei)
 			if err != nil {
 				t.Fatal(err)

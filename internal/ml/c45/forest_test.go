@@ -132,7 +132,7 @@ func TestForestTieBreakDeterministic(t *testing.T) {
 	}
 	m := cf.NewMatrix(1)
 	m.AppendVector(metrics.Vector{})
-	if got := cf.PredictBatch(m, nil); got[0] != "beta" {
+	if got := batchLabels(cf, m); got[0] != "beta" {
 		t.Fatalf("batch tie broke to %q, want beta", got[0])
 	}
 }

@@ -10,7 +10,7 @@ import (
 // evaluation touches flat slices only — zero map lookups on the hot
 // path. Column f's values for rows [0, Rows()) live at
 // data[f*stride : f*stride+rows], meaning all rows' values for the
-// feature a tree node splits on are adjacent in memory: PredictBatch
+// feature a tree node splits on are adjacent in memory: PredictBatchIdx
 // loads one column per node visit and gathers rows from it.
 //
 // A Matrix is reusable: Reset keeps the buffer and drops the rows, so
@@ -134,8 +134,8 @@ func (m *Matrix) AppendRowValues(row []float64) int {
 }
 
 // Row gathers row r into dst (len(dst) must equal len(Schema())) —
-// the bridge to the scalar PredictRow path, used by the equivalence
-// tests and the per-row fallback.
+// the bridge to the scalar PredictRow and PredictRowExplain paths, used
+// by the equivalence tests and by serving's explain rows.
 func (m *Matrix) Row(r int, dst []float64) {
 	for f := range dst {
 		dst[f] = m.data[f*m.stride+r]

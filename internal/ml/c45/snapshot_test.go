@@ -51,8 +51,8 @@ func TestSnapshotTreeRoundTrip(t *testing.T) {
 	}
 
 	m := fillMatrix(ct, d)
-	want := ct.PredictBatch(m, nil)
-	gotPred := lt.PredictBatch(m, nil)
+	want := batchLabels(ct, m)
+	gotPred := batchLabels(lt, m)
 	if !reflect.DeepEqual(want, gotPred) {
 		t.Fatal("loaded tree predictions diverge from the original")
 	}
@@ -83,8 +83,8 @@ func TestSnapshotForestRoundTrip(t *testing.T) {
 	}
 
 	m := fillMatrix(cf, d)
-	want := cf.PredictBatch(m, nil)
-	gotPred := lf.PredictBatch(m, nil)
+	want := batchLabels(cf, m)
+	gotPred := batchLabels(lf, m)
 	if !reflect.DeepEqual(want, gotPred) {
 		t.Fatal("loaded forest predictions diverge from the original")
 	}

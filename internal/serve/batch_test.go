@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -83,27 +84,80 @@ func TestDiagnoseBatchWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestSameSessionCompletesInSubmissionOrder pins Request.ID's ordering
+// contract within one drained batch: a row that finishes early — an
+// explain row, or one failed by validation — must not complete before
+// an earlier plain row of the same session. A blocker parks the single
+// worker in its done callback so both rows queue into one batch.
+func TestSameSessionCompletesInSubmissionOrder(t *testing.T) {
+	nan := map[string]float64{"mobile.rtt": math.NaN()}
+	for name, late := range map[string]Request{
+		"explain": {ID: "s", Features: fv(150, 7), Explain: true},
+		"invalid": {ID: "s", Features: nan},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 1})
+			defer e.Close()
+
+			blocked, release := make(chan struct{}), make(chan struct{})
+			var blockRes Result
+			if err := e.Submit(Request{ID: "block", Features: fv(50, 0)}, &blockRes, func() {
+				close(blocked)
+				<-release
+			}); err != nil {
+				t.Fatal(err)
+			}
+			<-blocked
+
+			var mu sync.Mutex
+			var order []string
+			var wg sync.WaitGroup
+			res := make([]Result, 2)
+			for i, req := range []Request{{ID: "s", Features: fv(50, 0)}, late} {
+				tag := [...]string{"plain", "late"}[i]
+				wg.Add(1)
+				if err := e.Submit(req, &res[i], func() {
+					mu.Lock()
+					order = append(order, tag)
+					mu.Unlock()
+					wg.Done()
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(release)
+			wg.Wait()
+
+			if len(order) != 2 || order[0] != "plain" || order[1] != "late" {
+				t.Fatalf("same-session completion order = %v, want [plain late]", order)
+			}
+			if res[0].Err != "" || res[0].Class != "good" {
+				t.Fatalf("plain row: %+v", res[0])
+			}
+			if (late.Explain && res[1].Rule == "") || (!late.Explain && res[1].Err == "") {
+				t.Fatalf("late row answered wrongly: %+v", res[1])
+			}
+		})
+	}
+}
+
 // panicPredictor poisons the batch sweep itself: prep succeeds, then
-// PredictBatchIdx panics. The scalar entry points stay healthy so only
-// the worker's batch-path recovery is on trial.
+// PredictBatchIdx panics. The sweep is the engine's only classification
+// path, so the worker's sweep recovery is what is on trial.
 type panicPredictor struct {
 	sweeps atomic.Int64
 }
 
-func (p *panicPredictor) Schema() []string              { return []string{"mobile.rtt"} }
-func (p *panicPredictor) Classes() []string             { return []string{"good"} }
-func (p *panicPredictor) Nodes() int                    { return 1 }
-func (p *panicPredictor) Trees() int                    { return 1 }
-func (p *panicPredictor) Predict(metrics.Vector) string { return "good" }
-func (p *panicPredictor) PredictRow([]float64) string   { return "good" }
+func (p *panicPredictor) Schema() []string            { return []string{"mobile.rtt"} }
+func (p *panicPredictor) Classes() []string           { return []string{"good"} }
+func (p *panicPredictor) Nodes() int                  { return 1 }
+func (p *panicPredictor) Trees() int                  { return 1 }
+func (p *panicPredictor) PredictRow([]float64) string { return "good" }
 func (p *panicPredictor) NewMatrix(capacity int) *c45.Matrix {
 	return c45.NewMatrix([]string{"mobile.rtt"}, capacity)
 }
 func (p *panicPredictor) PredictBatchIdx(*c45.Matrix, *c45.BatchScratch, []int32) {
 	p.sweeps.Add(1)
-	panic("poisoned batch sweep")
-}
-func (p *panicPredictor) PredictBatch(*c45.Matrix, []string) []string {
 	panic("poisoned batch sweep")
 }
 
@@ -182,7 +236,8 @@ func forestModel(t testing.TB) *Model {
 // TestForestModelServing runs an ensemble snapshot through the full
 // engine: batched classification must match the scalar reference,
 // explain requests answer with a per-request error (a vote has no
-// single path), and /healthz + /metrics expose the forest's identity.
+// single path) unless an earlier check already failed them, and
+// /healthz + /metrics expose the forest's identity.
 func TestForestModelServing(t *testing.T) {
 	m := forestModel(t)
 	if info := m.Info(); info.Kind != "forest" || info.Trees != 7 || info.Nodes <= 0 {
@@ -206,9 +261,23 @@ func TestForestModelServing(t *testing.T) {
 		}
 	}
 
-	exp := e.DiagnoseBatch([]Request{{ID: "e", Features: fv(150, 7), Explain: true}})
-	if exp[0].Err != errExplainForest {
-		t.Fatalf("explain on forest: got %+v, want error %q", exp[0], errExplainForest)
+	expReqs := []Request{
+		{ID: "e", Features: fv(150, 7), Explain: true},
+		{ID: "e", Features: map[string]float64{"mobile.rtt": math.NaN()}, Explain: true},
+		{ID: "e", Features: fv(40, 2), Explain: true},
+		{ID: "e", Features: fv(150, 7)},
+	}
+	exp := e.DiagnoseBatch(expReqs)
+	for _, i := range []int{0, 2} {
+		if exp[i].Err != errExplainForest {
+			t.Fatalf("explain %d on forest: got %+v, want error %q", i, exp[i], errExplainForest)
+		}
+	}
+	if want := refResult(m, expReqs[1]).Err; !strings.Contains(want, "non-finite") || exp[1].Err != want {
+		t.Fatalf("NaN explain on forest: got %+v, want error %q", exp[1], want)
+	}
+	if want := refResult(m, expReqs[3]); exp[3].Err != "" || exp[3].Class != want.Class {
+		t.Fatalf("plain row beside forest explains: got %+v, want %+v", exp[3], want)
 	}
 
 	resp, err := http.Get(srv.URL + "/healthz")

@@ -20,7 +20,8 @@ import (
 // TestWorkerPanicRecovered pins the tentpole serving bug: a panic while
 // classifying one request used to kill the shard worker goroutine,
 // permanently deadlocking every later request hashed to that shard (and
-// Close). It must instead surface as a per-request error.
+// Close). It must instead surface as a per-request error, for plain and
+// explain requests alike.
 func TestWorkerPanicRecovered(t *testing.T) {
 	m := testModel(t, "lan_cong_severe")
 	e := NewEngine(m, Config{
@@ -41,6 +42,13 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		}
 		reqs = append(reqs, Request{ID: id, Features: fv(50, 0)})
 	}
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("ok-explain-%d", i)
+		if i%2 == 0 {
+			id = fmt.Sprintf("boom-explain-%d", i)
+		}
+		reqs = append(reqs, Request{ID: id, Features: fv(50, 0), Explain: true})
+	}
 	res := e.DiagnoseBatch(reqs)
 	for i, r := range res {
 		if strings.HasPrefix(reqs[i].ID, "boom") {
@@ -49,6 +57,8 @@ func TestWorkerPanicRecovered(t *testing.T) {
 			}
 		} else if r.Err != "" || r.Class != "good" {
 			t.Fatalf("healthy request %s after panics: class=%q err=%q", reqs[i].ID, r.Class, r.Err)
+		} else if reqs[i].Explain && r.Rule == "" {
+			t.Fatalf("healthy explain request %s lost its rule: %+v", reqs[i].ID, r)
 		}
 	}
 
@@ -66,8 +76,8 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		t.Errorf("accounting imbalance after panics: submitted=%d classified=%d errors=%d",
 			submitted, requests, errs)
 	}
-	if v := e.obs.panics.Value(); v != 10 {
-		t.Errorf("panics counter = %d, want 10", v)
+	if v := e.obs.panics.Value(); v != 14 {
+		t.Errorf("panics counter = %d, want 14", v)
 	}
 }
 

@@ -47,26 +47,25 @@ func (e *Engine) shardFor(id string) int {
 // batchScratch is one worker's pooled batch-classification state. The
 // matrix is laid out for a specific model snapshot and rebuilt only
 // when the worker first sees a new snapshot, so steady-state serving
-// allocates nothing per batch.
+// allocates nothing per plain request.
 type batchScratch struct {
 	model *Model // snapshot the matrix layout belongs to
 	mat   *c45.Matrix
 	bs    c45.BatchScratch
 	idx   []int32
-	fill  []float64 // schema-row staging buffer for prep
-	row   []float64 // scalar-path scratch (explain / no-model jobs)
-	acc   []float64
+	row   []float64 // schema row: prep stages into it, explain rows are read back into it
 
 	// Per batched job, parallel to the matrix rows.
 	jobs   []*job
 	queueD []time.Duration
 	normD  []time.Duration
+	exp    []*c45.Explanation // recorded paths of explain rows; nil for plain ones
 }
 
 // runWorker drains one shard: it batches up to MaxBatch queued jobs,
 // loads the model snapshot once per batch, and classifies the whole
-// drain through one PredictBatch frontier sweep over a pooled matrix,
-// recording per-stage latencies per request.
+// drain through one PredictBatchIdx frontier sweep over a pooled
+// matrix, recording per-stage latencies per request.
 func (e *Engine) runWorker(sh *shard) {
 	defer e.workers.Done()
 	batch := make([]job, 0, e.cfg.MaxBatch)
@@ -98,69 +97,60 @@ func (e *Engine) runWorker(sh *shard) {
 	}
 }
 
-// processBatch classifies one drained batch. Explain requests and the
-// no-model case take the scalar path (process); everything else is
-// normalized into the worker's pooled matrix and classified in a
-// single batch sweep, whose cost is attributed evenly across the
-// batched requests' predict-stage latencies.
+// processBatch classifies one drained batch. Every job that passes
+// prep is normalized into the worker's pooled matrix and classified in
+// a single batch sweep, whose cost is attributed evenly across the
+// batched requests' predict-stage latencies. The stages only write
+// results; the closing loop then completes every job in drain order,
+// so same-session requests complete in submission order however early
+// each was answered.
 func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued time.Time) {
-	if m == nil {
-		for i := range batch {
-			e.process(m, &batch[i], &ws.row, &ws.acc, dequeued)
+	if m != nil {
+		if ws.model != m {
+			// First batch against a fresh snapshot: rebuild the pooled
+			// matrix for its schema. Happens once per reload per worker.
+			ws.model = m
+			ws.mat = m.bp.NewMatrix(cap(batch))
+			ws.row = make([]float64, len(m.plan))
 		}
-		return
+		ws.mat.Reset()
 	}
-	if ws.model != m {
-		// First batch against a fresh snapshot: rebuild the pooled matrix
-		// for its schema. Happens once per reload per worker.
-		ws.model = m
-		ws.mat = m.bp.NewMatrix(cap(batch))
-		ws.fill = make([]float64, len(m.plan))
-	}
-	ws.mat.Reset()
-	ws.jobs, ws.queueD, ws.normD = ws.jobs[:0], ws.queueD[:0], ws.normD[:0]
+	ws.jobs, ws.queueD, ws.normD, ws.exp = ws.jobs[:0], ws.queueD[:0], ws.normD[:0], ws.exp[:0]
 	for i := range batch {
 		e.prep(m, &batch[i], ws, dequeued)
 	}
-	n := len(ws.jobs)
-	if n == 0 {
-		return
-	}
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	t0 := time.Now()
-	errMsg := e.predictBatch(m, ws)
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	predD := time.Since(t0)
-	if errMsg != "" {
-		for bi, j := range ws.jobs {
-			e.failBatched(j, ws.queueD[bi], errMsg)
+	if n := len(ws.jobs); n > 0 {
+		//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
+		t0 := time.Now()
+		errMsg := e.predictBatch(m, ws)
+		//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
+		share := time.Since(t0) / time.Duration(n)
+		for bi := range ws.jobs {
+			if errMsg != "" {
+				e.failBatched(ws.jobs[bi], ws.queueD[bi], errMsg)
+			} else {
+				e.finish(m, ws, bi, share)
+			}
 		}
-		return
 	}
-	share := predD / time.Duration(n)
-	for bi, j := range ws.jobs {
-		e.finish(m, j, int(ws.idx[bi]), ws.queueD[bi], ws.normD[bi], share)
+	for i := range batch {
+		e.complete(&batch[i])
 	}
 }
 
-// prep runs one job's pre-classification stages — timeout and validity
-// checks, fault injection, normalization — and appends the normalized
-// row to the worker's pooled matrix. Jobs that fail a check are
-// answered immediately; jobs that ask for an explanation fall back to
-// the scalar path, which records the traversal. A panic (e.g. from
-// InjectFault) is recovered per-job exactly as on the scalar path.
+// prep runs one job's pre-classification stages — model, timeout and
+// validity checks, fault injection, normalization — and appends the
+// normalized row to the worker's pooled matrix. A job that fails a
+// check, or asks a forest for an explanation, gets its error result
+// here and no row. A panic (e.g. from InjectFault) is recovered per
+// job, so one poisoned request never kills the shard worker.
 func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
-	if j.req.Explain {
-		e.process(m, j, &ws.row, &ws.acc, dequeued)
-		return
-	}
 	defer func() {
 		if r := recover(); r != nil {
 			j.res.ID = j.req.ID
 			j.res.Err = fmt.Sprintf("internal error: recovered panic: %v", r)
 			e.obs.panics.Inc()
 			e.obs.errs.Inc()
-			e.complete(j)
 		}
 	}()
 	queueD := dequeued.Sub(j.enq)
@@ -169,141 +159,6 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 		j.res.ID = j.req.ID
 		j.res.Err = msg
 		e.obs.errs.Inc()
-		e.complete(j)
-	}
-	if d := e.cfg.RequestTimeout; d > 0 && queueD > d {
-		e.obs.timeouts.Inc()
-		fail(fmt.Sprintf("request timed out after %v in queue (limit %v)", queueD, d))
-		return
-	}
-	if err := ValidateFeatures(j.req.Features); err != nil {
-		e.obs.invalid.Inc()
-		fail(err.Error())
-		return
-	}
-	if f := e.cfg.InjectFault; f != nil {
-		if err := f(&j.req); err != nil {
-			fail(err.Error())
-			return
-		}
-	}
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	t0 := time.Now()
-	m.fillRow(metrics.Vector(j.req.Features), ws.fill)
-	ws.mat.AppendRowValues(ws.fill)
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	ws.normD = append(ws.normD, time.Since(t0))
-	ws.queueD = append(ws.queueD, queueD)
-	ws.jobs = append(ws.jobs, j)
-}
-
-// predictBatch runs the frontier sweep over the pooled matrix. A panic
-// is recovered here so a poisoned batch fails its requests instead of
-// killing the shard worker; the returned message is empty on success.
-func (e *Engine) predictBatch(m *Model, ws *batchScratch) (errMsg string) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.obs.panics.Inc()
-			errMsg = fmt.Sprintf("internal error: recovered panic: %v", r)
-		}
-	}()
-	rows := ws.mat.Rows()
-	if cap(ws.idx) < rows {
-		ws.idx = make([]int32, rows)
-	}
-	ws.idx = ws.idx[:rows]
-	m.bp.PredictBatchIdx(ws.mat, &ws.bs, ws.idx)
-	return ""
-}
-
-// failBatched answers one batched job after the batch sweep failed.
-func (e *Engine) failBatched(j *job, queueD time.Duration, msg string) {
-	e.obs.queueHist.Observe(queueD.Seconds())
-	j.res.ID = j.req.ID
-	j.res.Err = msg
-	e.obs.errs.Inc()
-	e.complete(j)
-}
-
-// finish writes one batched job's successful result and records its
-// stage latencies and trace spans, mirroring the scalar path. predD is
-// this request's even share of the batch sweep's duration.
-func (e *Engine) finish(m *Model, j *job, cls int, queueD, normD, predD time.Duration) {
-	label := m.bp.Classes()[cls]
-	sev, cause := ParseClass(label)
-	*j.res = Result{ID: j.req.ID, Class: label, Severity: sev, Cause: cause}
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	totalD := time.Since(j.enq)
-
-	if tr := e.cfg.Tracer; tr.Enabled() {
-		end := tr.Now()
-		reqID := tr.RecordSpan("serve", "request", "id="+j.req.ID+" class="+label, 0, end-totalD, totalD)
-		tr.RecordSpan("serve", "queue", "", reqID, end-totalD, queueD)
-		tr.RecordSpan("serve", "normalize", "", reqID, end-normD-predD, normD)
-		tr.RecordSpan("serve", "predict", "", reqID, end-predD, predD)
-		tid := strconv.FormatUint(uint64(reqID), 16)
-		j.res.TraceID = tid
-		e.obs.queueHist.ObserveExemplar(queueD.Seconds(), tid)
-		e.obs.normHist.ObserveExemplar(normD.Seconds(), tid)
-		e.obs.predHist.ObserveExemplar(predD.Seconds(), tid)
-		e.obs.totalHist.ObserveExemplar(totalD.Seconds(), tid)
-	} else {
-		e.obs.queueHist.Observe(queueD.Seconds())
-		e.obs.normHist.Observe(normD.Seconds())
-		e.obs.predHist.Observe(predD.Seconds())
-		e.obs.totalHist.Observe(totalD.Seconds())
-	}
-	e.obs.requests.Inc()
-	e.complete(j)
-}
-
-// complete invokes the job's done callback, swallowing a panic from
-// the caller's code: the job's accounting already stands, and the
-// worker must survive.
-func (e *Engine) complete(j *job) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.obs.panics.Inc()
-		}
-	}()
-	j.done()
-}
-
-// process classifies one job against the snapshot m, reusing the
-// worker-local row and accumulator scratch. dequeued is when the
-// worker pulled the job's batch off the shard queue.
-//
-// A panic anywhere in classification (or in the caller's done callback)
-// is recovered here and surfaced as a per-request error: one poisoned
-// request must never kill a shard worker, which would strand every
-// later job hashed to that shard and hang Close.
-func (e *Engine) process(m *Model, j *job, row, acc *[]float64, dequeued time.Time) {
-	counted := false // whether requests/errs already accounts for this job
-	defer func() {
-		if r := recover(); r != nil {
-			// Panic escaped from j.done() after the job itself completed:
-			// swallow it so the worker lives; the job's accounting stands.
-			e.obs.panics.Inc()
-		}
-	}()
-	defer j.done()
-	defer func() {
-		if r := recover(); r != nil {
-			j.res.ID = j.req.ID
-			j.res.Err = fmt.Sprintf("internal error: recovered panic: %v", r)
-			e.obs.panics.Inc()
-			if !counted {
-				e.obs.errs.Inc()
-			}
-		}
-	}()
-	queueD := dequeued.Sub(j.enq)
-	fail := func(msg string) {
-		e.obs.queueHist.Observe(queueD.Seconds())
-		j.res.ID = j.req.ID
-		j.res.Err = msg
-		e.obs.errs.Inc()
-		counted = true
 	}
 	if m == nil {
 		fail("no model loaded")
@@ -331,44 +186,69 @@ func (e *Engine) process(m *Model, j *job, row, acc *[]float64, dequeued time.Ti
 	}
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	t0 := time.Now()
-	if len(*row) != len(m.plan) {
-		*row = make([]float64, len(m.plan))
-	}
-	if len(*acc) != len(m.bp.Classes()) {
-		*acc = make([]float64, len(m.bp.Classes()))
-	}
-	m.fillRow(metrics.Vector(j.req.Features), *row)
+	m.fillRow(metrics.Vector(j.req.Features), ws.row)
+	ws.mat.AppendRowValues(ws.row)
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	t1 := time.Now()
-	normD := t1.Sub(t0)
+	ws.normD = append(ws.normD, time.Since(t0))
+	ws.queueD = append(ws.queueD, queueD)
+	ws.jobs = append(ws.jobs, j)
+	ws.exp = append(ws.exp, nil)
+}
 
-	var cls string
-	var exp *c45.Explanation
-	switch {
-	case j.req.Explain:
-		exp = m.tree.PredictRowExplain(*row)
-		cls = exp.Class
-	case m.tree != nil:
-		cls = m.tree.PredictRowInto(*row, *acc)
-	default:
-		cls = m.bp.PredictRow(*row)
+// predictBatch runs the frontier sweep over the pooled matrix, then
+// records the decision path of each explain row from its matrix row;
+// the row's class still comes from the sweep. A panic is recovered
+// here so a poisoned batch fails its requests instead of killing the
+// shard worker; the returned message is empty on success.
+func (e *Engine) predictBatch(m *Model, ws *batchScratch) (errMsg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.obs.panics.Inc()
+			errMsg = fmt.Sprintf("internal error: recovered panic: %v", r)
+		}
+	}()
+	rows := ws.mat.Rows()
+	if cap(ws.idx) < rows {
+		ws.idx = make([]int32, rows)
+	}
+	ws.idx = ws.idx[:rows]
+	m.bp.PredictBatchIdx(ws.mat, &ws.bs, ws.idx)
+	for bi, j := range ws.jobs {
+		if j.req.Explain {
+			ws.mat.Row(bi, ws.row)
+			ws.exp[bi] = m.tree.PredictRowExplain(ws.row)
+		}
+	}
+	return ""
+}
+
+// failBatched answers one batched job after the batch sweep failed.
+func (e *Engine) failBatched(j *job, queueD time.Duration, msg string) {
+	e.obs.queueHist.Observe(queueD.Seconds())
+	j.res.ID = j.req.ID
+	j.res.Err = msg
+	e.obs.errs.Inc()
+}
+
+// finish writes batched job bi's successful result and records its
+// stage latencies and trace spans. predD is this request's even share
+// of the batch sweep's duration.
+func (e *Engine) finish(m *Model, ws *batchScratch, bi int, predD time.Duration) {
+	j, queueD, normD := ws.jobs[bi], ws.queueD[bi], ws.normD[bi]
+	label := m.bp.Classes()[ws.idx[bi]]
+	sev, cause := ParseClass(label)
+	*j.res = Result{ID: j.req.ID, Class: label, Severity: sev, Cause: cause}
+	if exp := ws.exp[bi]; exp != nil {
+		j.res.Explain, j.res.Rule = exp, exp.Rule()
 	}
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	t2 := time.Now()
-	predD := t2.Sub(t1)
-	totalD := t2.Sub(j.enq)
-
-	sev, cause := ParseClass(cls)
-	*j.res = Result{ID: j.req.ID, Class: cls, Severity: sev, Cause: cause, Explain: exp}
-	if exp != nil {
-		j.res.Rule = exp.Rule()
-	}
+	totalD := time.Since(j.enq)
 
 	if tr := e.cfg.Tracer; tr.Enabled() {
 		// The engine measures stages with its own monotonic stopwatch;
 		// anchor the spans on the tracer clock ending now.
 		end := tr.Now()
-		reqID := tr.RecordSpan("serve", "request", "id="+j.req.ID+" class="+cls, 0, end-totalD, totalD)
+		reqID := tr.RecordSpan("serve", "request", "id="+j.req.ID+" class="+label, 0, end-totalD, totalD)
 		tr.RecordSpan("serve", "queue", "", reqID, end-totalD, queueD)
 		tr.RecordSpan("serve", "normalize", "", reqID, end-normD-predD, normD)
 		tr.RecordSpan("serve", "predict", "", reqID, end-predD, predD)
@@ -385,7 +265,18 @@ func (e *Engine) process(m *Model, j *job, row, acc *[]float64, dequeued time.Ti
 		e.obs.totalHist.Observe(totalD.Seconds())
 	}
 	e.obs.requests.Inc()
-	counted = true
+}
+
+// complete invokes the job's done callback, swallowing a panic from
+// the caller's code: the job's accounting already stands, and the
+// worker must survive. It is the worker's only completion site.
+func (e *Engine) complete(j *job) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.obs.panics.Inc()
+		}
+	}()
+	j.done()
 }
 
 // obs bundles the engine's metric handles; names are documented in

@@ -98,7 +98,7 @@ func TestFillRowMatchesApplyVector(t *testing.T) {
 				delete(fv, k)
 			}
 		}
-		want := ct.Predict(norm.ApplyVector(fv))
+		want := ct.PredictRow(ct.RowFromVector(norm.ApplyVector(fv)))
 		if got := m.Diagnose(fv).Class; got != want {
 			t.Fatalf("vector %d: fast path %q, full path %q (fv=%v)", i, got, want, fv)
 		}
