@@ -1,6 +1,6 @@
 // Command vqlint runs the project's static-analysis suite
 // (internal/lint) over the module: determinism, virtual-clock,
-// tracing, and concurrency invariants that unit tests can only
+// tracing, and error-handling invariants that unit tests can only
 // spot-check at runtime. See docs/LINTING.md for the analyzer catalog
 // and the suppression policy.
 //
@@ -9,7 +9,8 @@
 //	vqlint [flags] [packages]
 //
 // where packages are module directories or `dir/...` patterns
-// (default `./...`). Exit status: 0 when no unsuppressed findings, 1
+// (default `./...`). Per-directory relaxations come from the module
+// root's .vqlint.json. Exit status: 0 when no unsuppressed findings, 1
 // when findings remain, 2 on usage or load errors.
 //
 // Examples:
@@ -17,8 +18,6 @@
 //	vqlint ./...                           # whole module, text output
 //	vqlint -format github ./...            # CI: PR annotations
 //	vqlint -checks virtclock,detrand ./... # only the determinism core
-//	vqlint -exclude floatfmt internal/...  # everything else, one dir tree
-//	vqlint -fix ./...                      # apply machine-generated fixes
 //	vqlint -cache .vqlint.cache ./...      # warm runs skip unchanged packages
 //	vqlint -list                           # analyzer catalog
 package main
@@ -42,16 +41,12 @@ func main() {
 func run(argv []string) int {
 	fs := flag.NewFlagSet("vqlint", flag.ContinueOnError)
 	var (
-		format     = fs.String("format", "text", "output format: text, json, or github")
-		checks     = fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
-		exclude    = fs.String("exclude", "", "comma-separated analyzer names to skip")
-		configPath = fs.String("config", "", "per-directory config file (default: <module>/"+lint.ConfigFileName+")")
-		workers    = fs.Int("workers", 0, "parallel package analyses (0 = GOMAXPROCS)")
-		fix        = fs.Bool("fix", false, "apply machine-generated fixes in place; remaining findings still report")
-		cachePath  = fs.String("cache", "", "incremental cache file: unchanged packages (content + transitive imports) skip re-analysis")
-		list       = fs.Bool("list", false, "list analyzers and exit")
-		showSupp   = fs.Bool("show-suppressed", false, "also print suppressed findings with their reasons (text format)")
-		version    = fs.Bool("version", false, "print version and exit")
+		format    = fs.String("format", "text", "output format: text, json, or github")
+		checks    = fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
+		cachePath = fs.String("cache", "", "incremental cache file: unchanged packages (content + transitive imports) skip re-analysis")
+		list      = fs.Bool("list", false, "list analyzers and exit")
+		showSupp  = fs.Bool("show-suppressed", false, "also print suppressed findings with their reasons (text format)")
+		version   = fs.Bool("version", false, "print version and exit")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: vqlint [flags] [packages]\n\npackages are module directories or dir/... patterns (default ./...)\n\n")
@@ -87,16 +82,11 @@ func run(argv []string) int {
 		return fail(err)
 	}
 
-	cfgFile := *configPath
-	if cfgFile == "" {
-		cfgFile = filepath.Join(root, lint.ConfigFileName)
-	}
-	cfg, err := lint.LoadConfigFile(cfgFile)
+	cfg, err := lint.LoadConfigFile(filepath.Join(root, lint.ConfigFileName))
 	if err != nil {
 		return fail(err)
 	}
 	cfg.Checks = append(cfg.Checks, lint.SplitList(*checks)...)
-	cfg.Exclude = append(cfg.Exclude, lint.SplitList(*exclude)...)
 	if err := cfg.Validate(lint.ByName()); err != nil {
 		return fail(err)
 	}
@@ -106,7 +96,7 @@ func run(argv []string) int {
 		return fail(err)
 	}
 
-	runner := &lint.Runner{Analyzers: analyzers, Config: cfg, Workers: *workers}
+	runner := &lint.Runner{Analyzers: analyzers, Config: cfg}
 	result, err := lint.RunModule(root, dirs, runner, *cachePath)
 	if err != nil {
 		return fail(err)
@@ -115,26 +105,6 @@ func run(argv []string) int {
 		fmt.Fprintf(os.Stderr, "vqlint: type error (analysis continues): %v\n", terr)
 	}
 	diags := result.Diags
-
-	if *fix {
-		fres, err := lint.ApplyFixes(diags)
-		if err != nil {
-			return fail(err)
-		}
-		if fres.Applied > 0 {
-			fmt.Fprintf(os.Stderr, "vqlint: applied %d fix(es) in %d file(s)\n", fres.Applied, fres.Files)
-		}
-		// Fixed findings are resolved; only the ones that need a human
-		// still report (and decide the exit code). The next plain run
-		// re-verifies against the rewritten source.
-		var remaining []lint.Diagnostic
-		for _, d := range diags {
-			if len(d.Edits) == 0 {
-				remaining = append(remaining, d)
-			}
-		}
-		diags = remaining
-	}
 
 	if err := lint.WriteDiagnostics(os.Stdout, diags, outFormat, root); err != nil {
 		return fail(err)

@@ -48,7 +48,7 @@ func BenchmarkSelfLintCold(b *testing.B) {
 // BenchmarkSelfLintWarm is the steady-state cost with an unchanged
 // tree: content hashing plus a cache read, no type-checking at all.
 // bench_report.py derives the cold/warm speedup recorded in
-// reports/BENCH_PR9.json from this pair.
+// reports/BENCH.json from this pair.
 func BenchmarkSelfLintWarm(b *testing.B) {
 	root, runner := selfLintSetup(b)
 	cachePath := filepath.Join(b.TempDir(), "warm.cache.json")

@@ -14,8 +14,13 @@ import (
 	"strings"
 )
 
-// cacheVersion invalidates every entry when the cache format or the
-// analysis semantics change shape.
+// cacheVersion invalidates every entry when bumped. The cache key
+// covers linted file contents, the analyzer set (by name) and the
+// config, but not the analyzers' code: internal/lint is imported by no
+// linted package, so editing an analyzer's logic changes no other
+// package's content key. Bump this whenever a change to the cache
+// format or to any analyzer's logic can alter findings, or warm caches
+// keep replaying the old results.
 const cacheVersion = 1
 
 // cacheFile is the on-disk incremental cache: one entry per package
@@ -192,8 +197,9 @@ func writeCache(path string, c *cacheFile) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// runConfigHash keys the cache on everything besides file contents that
-// changes analysis results: the analyzer set and the effective config.
+// runConfigHash keys the cache on the analyzer set, the effective
+// config and cacheVersion. Analyzer logic is not part of it; see
+// cacheVersion.
 func runConfigHash(r *Runner) string {
 	h := sha256.New()
 	fmt.Fprintln(h, "v"+strconv.Itoa(cacheVersion))
@@ -203,9 +209,8 @@ func runConfigHash(r *Runner) string {
 	if r.Config != nil {
 		cfg, _ := json.Marshal(struct {
 			Checks     []string
-			Exclude    []string
 			DirExclude map[string][]string
-		}{r.Config.Checks, r.Config.Exclude, r.Config.DirExclude})
+		}{r.Config.Checks, r.Config.DirExclude})
 		h.Write(cfg)
 	}
 	return hex.EncodeToString(h.Sum(nil))

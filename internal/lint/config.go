@@ -11,14 +11,11 @@ import (
 // Config controls which analyzers run where. It merges three layers,
 // strongest last: the built-in default (everything on), the optional
 // per-module config file (.vqlint.json at the module root), and the
-// command-line -checks / -exclude flags.
+// command-line -checks flag.
 type Config struct {
 	// Checks, when non-empty, restricts analysis to exactly these
 	// analyzer names (CLI -checks).
 	Checks []string
-
-	// Exclude globally disables these analyzer names (CLI -exclude).
-	Exclude []string
 
 	// DirExclude maps a module-relative directory prefix to the
 	// analyzer names disabled under it. The special name "all"
@@ -68,7 +65,6 @@ func (c *Config) Validate(known map[string]*Analyzer) error {
 		}
 	}
 	check(c.Checks)
-	check(c.Exclude)
 	for _, names := range c.DirExclude {
 		check(names)
 	}
@@ -86,14 +82,10 @@ func (c *Config) Validate(known map[string]*Analyzer) error {
 }
 
 // Enabled reports whether analyzer name should run at all given the
-// global Checks/Exclude lists.
+// Checks restriction. The directive meta-check always runs: a
+// malformed suppression must be caught even in a restricted run.
 func (c *Config) Enabled(name string) bool {
-	if len(c.Checks) > 0 && !contains(c.Checks, name) && name != DirectiveCheckName {
-		// The directive meta-check always runs: a malformed
-		// suppression must be caught even in a restricted run.
-		return false
-	}
-	return !contains(c.Exclude, name) && !contains(c.Exclude, "all")
+	return len(c.Checks) == 0 || contains(c.Checks, name) || name == DirectiveCheckName
 }
 
 // EnabledIn reports whether analyzer name runs for a package in

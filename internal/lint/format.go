@@ -42,7 +42,6 @@ type jsonDiagnostic struct {
 	Column         int    `json:"column"`
 	Message        string `json:"message"`
 	Fix            string `json:"fix,omitempty"`
-	Fixable        bool   `json:"fixable,omitempty"`
 	Suppressed     bool   `json:"suppressed,omitempty"`
 	SuppressReason string `json:"suppressReason,omitempty"`
 }
@@ -75,7 +74,6 @@ func WriteDiagnostics(w io.Writer, diags []Diagnostic, format Format, baseDir st
 				Column:         d.Pos.Column,
 				Message:        d.Message,
 				Fix:            d.Fix,
-				Fixable:        len(d.Edits) > 0,
 				Suppressed:     d.Suppressed,
 				SuppressReason: d.SuppressReason,
 			})

@@ -66,8 +66,7 @@ func parseWants(t *testing.T, path string) []*expectation {
 // sync with internal/lint/testdata/src/ and lint.All().
 var goldenChecks = []string{
 	"virtclock", "detrand", "walltaint", "maporder", "spanleak",
-	"closecheck", "mutexcopy", "floatfmt", "ctxfirst", "directive",
-	"errflow", "lockorder", "goleak", "stalesuppress",
+	"closecheck", "errflow", "directive", "stalesuppress",
 }
 
 func TestGoldenCoverageMatchesRegistry(t *testing.T) {

@@ -58,11 +58,6 @@ type Diagnostic struct {
 	Message  string         // what is wrong
 	Fix      string         // suggested fix text, may be empty
 
-	// Edits are machine-applicable replacements realizing Fix; `vqlint
-	// -fix` applies them (see ApplyFixes). Empty when the fix needs
-	// human judgment.
-	Edits []Edit
-
 	// Suppressed is set by the runner when a `//lint:ignore` directive
 	// covers this diagnostic; SuppressReason carries the directive's
 	// written reason.
@@ -135,25 +130,6 @@ func (p *Pass) ReportPosition(pos token.Position, message, fix string) {
 		Message:  message,
 		Fix:      fix,
 	})
-}
-
-// ReportEdits records a finding whose suggested fix is mechanical:
-// edits carry the byte-offset replacements `vqlint -fix` applies.
-func (p *Pass) ReportEdits(pos token.Pos, message, fix string, edits ...Edit) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Check:    p.Analyzer.Name,
-		Severity: p.Analyzer.Severity,
-		Pos:      p.Fset.Position(pos),
-		Message:  message,
-		Fix:      fix,
-		Edits:    edits,
-	})
-}
-
-// Offsets returns the byte-offset range of node for constructing Edits.
-func (p *Pass) Offsets(n ast.Node) (file string, start, end int) {
-	ps, pe := p.Fset.Position(n.Pos()), p.Fset.Position(n.End())
-	return ps.Filename, ps.Offset, pe.Offset
 }
 
 // TypeOf returns the type of e, or nil when type information is

@@ -12,7 +12,6 @@ import (
 
 func TestConfigEnabledIn(t *testing.T) {
 	cfg := &lint.Config{
-		Exclude: []string{"floatfmt"},
 		DirExclude: map[string][]string{
 			"cmd":            {"virtclock"},
 			"internal/serve": {"all"},
@@ -24,11 +23,10 @@ func TestConfigEnabledIn(t *testing.T) {
 	}{
 		{"virtclock", "internal/simnet", true},
 		{"virtclock", "cmd", false},
-		{"virtclock", "cmd/vqsim", false},           // subtree inherits
-		{"virtclock", "cmdx", true},                 // prefix must be a path boundary
-		{"maporder", "cmd/vqsim", true},             // only the named check is relaxed
-		{"maporder", "internal/serve", false},       // "all" disables everything
-		{"floatfmt", "internal/experiments", false}, // global exclude
+		{"virtclock", "cmd/vqsim", false},     // subtree inherits
+		{"virtclock", "cmdx", true},           // prefix must be a path boundary
+		{"maporder", "cmd/vqsim", true},       // only the named check is relaxed
+		{"maporder", "internal/serve", false}, // "all" disables everything
 	}
 	for _, c := range cases {
 		if got := cfg.EnabledIn(c.check, c.dir); got != c.want {
@@ -51,10 +49,13 @@ func TestConfigChecksRestriction(t *testing.T) {
 }
 
 func TestConfigValidateRejectsUnknownNames(t *testing.T) {
-	cfg := &lint.Config{DirExclude: map[string][]string{"cmd": {"virtclocc"}}}
-	err := cfg.Validate(lint.ByName())
-	if err == nil || !strings.Contains(err.Error(), "virtclocc") {
-		t.Fatalf("want unknown-name error mentioning virtclocc, got %v", err)
+	// A typo, and a removed check that a stale .vqlint.json still names.
+	for _, name := range []string{"virtclocc", "mutexcopy"} {
+		cfg := &lint.Config{DirExclude: map[string][]string{"cmd": {name}}}
+		err := cfg.Validate(lint.ByName())
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("want unknown-name error mentioning %s, got %v", name, err)
+		}
 	}
 }
 
@@ -182,6 +183,12 @@ func TestWriteDiagnosticsGitHub(t *testing.T) {
 func TestUnsuppressed(t *testing.T) {
 	if n := lint.Unsuppressed(sampleDiags()); n != 1 {
 		t.Errorf("Unsuppressed = %d, want 1", n)
+	}
+}
+
+func TestSeverityString(t *testing.T) {
+	if lint.SeverityWarn.String() != "warning" || lint.SeverityError.String() != "error" {
+		t.Error("severity strings drive GitHub annotation commands; they must be warning/error")
 	}
 }
 

@@ -12,12 +12,7 @@ func All() []*Analyzer {
 		AnalyzerMapOrder,
 		AnalyzerSpanLeak,
 		AnalyzerCloseCheck,
-		AnalyzerMutexCopy,
-		AnalyzerFloatFmt,
-		AnalyzerCtxFirst,
 		AnalyzerErrFlow,
-		AnalyzerLockOrder,
-		AnalyzerGoLeak,
 		{
 			Name:     DirectiveCheckName,
 			Severity: SeverityError,
@@ -29,9 +24,8 @@ func All() []*Analyzer {
 			Name:     StaleSuppressCheckName,
 			Severity: SeverityWarn,
 			Doc: "Audits //lint:ignore directives for staleness: a directive that " +
-				"suppresses nothing (and whose named checks all ran) is reported " +
-				"and deletable with -fix. Implemented inside the runner, after " +
-				"suppression resolution.",
+				"suppresses nothing (and whose named checks all ran) is reported. " +
+				"Implemented inside the runner, after suppression resolution.",
 		},
 	}
 }

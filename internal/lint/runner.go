@@ -14,16 +14,13 @@ import (
 // run — merge into module-wide ModuleFacts via the taint fixpoint.
 // Phase two runs the analyzers per package with those shared facts, so
 // a check like walltaint sees call chains that cross package
-// boundaries. Both phases use the per-index-slot worker pool, so
-// output is byte-identical for any worker count.
+// boundaries. Both phases fan packages out over GOMAXPROCS workers
+// with internal/parallel (the training engine's pool discipline:
+// per-index output slots, serial merge), so output is byte-identical
+// for any worker count.
 type Runner struct {
 	Analyzers []*Analyzer
 	Config    *Config
-
-	// Workers bounds per-package parallelism; <=0 means GOMAXPROCS
-	// (resolved by internal/parallel, the same pool discipline as the
-	// training engine: per-index output slots, serial merge).
-	Workers int
 }
 
 // Run analyzes pkgs and returns all diagnostics — suppressed ones
@@ -52,7 +49,7 @@ func (r *Runner) RunWith(pkgs []*Package, extra []*PackageSummary) []Diagnostic 
 	}
 
 	// Phase 1: directives + per-package fact summaries, in parallel.
-	parallel.For(len(pkgs), r.Workers, func(i int) {
+	parallel.For(len(pkgs), 0, func(i int) {
 		preparePackage(pkgs[i], known)
 	})
 	sums := make([]*PackageSummary, 0, len(pkgs)+len(extra))
@@ -64,7 +61,7 @@ func (r *Runner) RunWith(pkgs []*Package, extra []*PackageSummary) []Diagnostic 
 
 	// Phase 2: analyzers, with the shared facts.
 	perPkg := make([][]Diagnostic, len(pkgs))
-	parallel.For(len(pkgs), r.Workers, func(i int) {
+	parallel.For(len(pkgs), 0, func(i int) {
 		perPkg[i] = r.runPackage(pkgs[i], known, cfg, facts)
 	})
 

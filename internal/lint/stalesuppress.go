@@ -39,14 +39,8 @@ func staleSuppressDiagnostics(pkg *Package, ranForPkg map[string]bool, report fu
 				Pos:      d.pos,
 				Message: "//lint:ignore " + joinChecks(d.checks) + " suppresses nothing: no " +
 					joinChecks(d.checks) + " finding on this or the next line",
-				Fix: "delete the stale directive (vqlint -fix does this); if the invariant is " +
-					"still intentionally violated nearby, move the directive to the offending line",
-				Edits: []Edit{{
-					File:              d.pos.Filename,
-					Start:             d.pos.Offset,
-					End:               d.end.Offset,
-					DeleteLineIfBlank: true,
-				}},
+				Fix: "delete the stale directive; if the invariant is still intentionally " +
+					"violated nearby, move the directive to the offending line",
 			})
 		}
 	}

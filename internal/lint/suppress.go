@@ -24,7 +24,6 @@ const directivePrefix = "//lint:ignore"
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	pos    token.Position
-	end    token.Position // end of the comment, for the stalesuppress autofix
 	checks []string
 	reason string
 
@@ -93,7 +92,6 @@ func parseDirectives(fset *token.FileSet, f *ast.File, known map[string]*Analyze
 			}
 			out = append(out, ignoreDirective{
 				pos:    pos,
-				end:    fset.Position(c.End()),
 				checks: checks,
 				reason: reason,
 			})

@@ -19,6 +19,9 @@ import "strings"
 // want+1 "names unknown check nosuchcheck"
 //lint:ignore nosuchcheck the check was renamed and this comment rotted
 
+// want+1 "names unknown check goleak"
+//lint:ignore goleak the check was removed and this comment outlived it
+
 // want+1 "may not suppress directive"
 //lint:ignore directive silencing the auditor
 

@@ -26,5 +26,5 @@ func nothingTimed() int { return 2 }
 // sameLineStale is stale too: directives may sit on the offending line
 // itself, and this line offends nothing.
 func sameLineStale() int {
-	return 3 //lint:ignore floatfmt golden: stale same-line directive // want "lint:ignore floatfmt suppresses nothing"
+	return 3 //lint:ignore closecheck golden: stale same-line directive // want "lint:ignore closecheck suppresses nothing"
 }

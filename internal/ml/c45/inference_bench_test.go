@@ -6,7 +6,7 @@ import (
 )
 
 // Serving-side inference benchmarks, wired into scripts/bench.sh and
-// reports/BENCH_PR8.json. Convention: for the prediction benchmarks one
+// reports/BENCH.json. Convention: for the prediction benchmarks one
 // benchmark iteration is ONE prediction (batch benches advance i by the
 // batch size), so ns/op is ns per predicted row and bench_report.py can
 // derive predictions_per_sec = 1e9 / ns_op directly. Matrix fill is

@@ -1,17 +1,12 @@
 #!/usr/bin/env bash
-# bench.sh — training-path, fleet, and inference performance harness.
+# bench.sh — training-path, fleet, inference, self-lint and router
+# performance harness, with one committed baseline: reports/BENCH.json.
 #
-#   scripts/bench.sh run     full-length benchmark run; rewrites the
-#                            committed baselines reports/BENCH_PR3.json
-#                            (training path), reports/BENCH_PR6.json
-#                            (fleet sessions/sec), reports/BENCH_PR8.json
-#                            (batch/forest inference + snapshot load),
-#                            reports/BENCH_PR9.json (self-lint cold vs
-#                            cached-warm) and reports/BENCH_PR10.json
-#                            (router throughput + failover latency)
-#   scripts/bench.sh check   quick run compared against the committed
-#                            baselines; fails on a gross regression
-#                            (the CI smoke guard)
+#   scripts/bench.sh run     full-length benchmark run; rewrites
+#                            reports/BENCH.json
+#   scripts/bench.sh check   quick run compared against
+#                            reports/BENCH.json; fails on a gross
+#                            regression (the CI smoke guard)
 #
 # The training benchmark set covers feature construction, FCBF
 # selection, C4.5 tree building, prediction, and 10-fold
@@ -31,15 +26,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BENCHES='BenchmarkFeatureConstruction|BenchmarkFCBFSelection|BenchmarkC45Training|BenchmarkC45Prediction|BenchmarkCrossValidation'
-BASELINE=reports/BENCH_PR3.json
 FLEET_BENCH='BenchmarkFleetSessions'
-FLEET_BASELINE=reports/BENCH_PR6.json
 INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPredictBatch|BenchmarkForestPredictBatchParallel|BenchmarkForestPredictVector|BenchmarkSnapshotLoad'
-INFER_BASELINE=reports/BENCH_PR8.json
 LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
-LINT_BASELINE=reports/BENCH_PR9.json
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
-ROUTE_BASELINE=reports/BENCH_PR10.json
+BASELINE=reports/BENCH.json
 MODE="${1:-run}"
 
 run_bench() { # $1: -benchtime value
@@ -62,56 +53,31 @@ run_route_bench() { # $1: -benchtime value (duration-based: one iteration = one 
   go test -run '^$' -bench "^(${ROUTE_BENCHES})\$" -benchmem -benchtime "$1" ./internal/route/
 }
 
+run_all() { # $1 training, $2 fleet, $3 inference, $4 router -benchtime; stops at the first failure
+  run_bench "$1" &&
+    run_fleet_bench "$2" &&
+    run_infer_bench "$3" &&
+    run_lint_bench &&
+    run_route_bench "$4"
+}
+
 case "$MODE" in
 run)
-  out="$(run_bench 1s)"
+  out="$(run_all 1s 200000x 1s 1s)"
   printf '%s\n' "$out"
   printf '%s\n' "$out" | python3 scripts/bench_report.py parse >"$BASELINE"
   echo "wrote $BASELINE"
-  fleet_out="$(run_fleet_bench 200000x)"
-  printf '%s\n' "$fleet_out"
-  printf '%s\n' "$fleet_out" | python3 scripts/bench_report.py parse >"$FLEET_BASELINE"
-  echo "wrote $FLEET_BASELINE"
-  infer_out="$(run_infer_bench 1s)"
-  printf '%s\n' "$infer_out"
-  printf '%s\n' "$infer_out" | python3 scripts/bench_report.py parse >"$INFER_BASELINE"
-  echo "wrote $INFER_BASELINE"
-  lint_out="$(run_lint_bench)"
-  printf '%s\n' "$lint_out"
-  printf '%s\n' "$lint_out" | python3 scripts/bench_report.py parse >"$LINT_BASELINE"
-  echo "wrote $LINT_BASELINE"
-  route_out="$(run_route_bench 1s)"
-  printf '%s\n' "$route_out"
-  printf '%s\n' "$route_out" | python3 scripts/bench_report.py parse >"$ROUTE_BASELINE"
-  echo "wrote $ROUTE_BASELINE"
   ;;
 check)
-  # 100x: enough iterations to keep the sub-µs benches out of warmup
-  # noise (5x flaked BenchmarkC45Prediction past the 4x guard) while
-  # staying a quick smoke.
-  out="$(run_bench 100x)"
+  # Training 100x: enough iterations to keep the sub-µs benches out of
+  # warmup noise (5x flaked BenchmarkC45Prediction past the 4x guard)
+  # while staying a quick smoke. Inference and router take a duration:
+  # the inference set spans ~40 ns (PredictBatch) to ~1 ms
+  # (SnapshotLoad) per iteration, so no fixed Nx suits all of them.
+  out="$(run_all 100x 20000x 100ms 100ms)"
   printf '%s\n' "$out"
   printf '%s\n' "$out" | python3 scripts/bench_report.py parse |
     python3 scripts/bench_report.py compare "$BASELINE"
-  fleet_out="$(run_fleet_bench 20000x)"
-  printf '%s\n' "$fleet_out"
-  printf '%s\n' "$fleet_out" | python3 scripts/bench_report.py parse |
-    python3 scripts/bench_report.py compare "$FLEET_BASELINE"
-  # Duration-based benchtime: the inference set spans ~40 ns
-  # (PredictBatch) to ~1 ms (SnapshotLoad) per iteration, so no fixed
-  # Nx suits all of them.
-  infer_out="$(run_infer_bench 100ms)"
-  printf '%s\n' "$infer_out"
-  printf '%s\n' "$infer_out" | python3 scripts/bench_report.py parse |
-    python3 scripts/bench_report.py compare "$INFER_BASELINE"
-  lint_out="$(run_lint_bench)"
-  printf '%s\n' "$lint_out"
-  printf '%s\n' "$lint_out" | python3 scripts/bench_report.py parse |
-    python3 scripts/bench_report.py compare "$LINT_BASELINE"
-  route_out="$(run_route_bench 100ms)"
-  printf '%s\n' "$route_out"
-  printf '%s\n' "$route_out" | python3 scripts/bench_report.py parse |
-    python3 scripts/bench_report.py compare "$ROUTE_BASELINE"
   ;;
 *)
   echo "usage: scripts/bench.sh [run|check]" >&2
