@@ -134,6 +134,13 @@ func Fingerprint(results []serve.Result) string {
 // third label so reload scenarios can tell two snapshots apart.
 func BuildModel(tb testing.TB, severeClass string) *serve.Model {
 	tb.Helper()
+	return BuildModelOn(tb, "mobile", severeClass)
+}
+
+// BuildModelOn is BuildModel over the features <vp>.rtt and <vp>.loss,
+// so two snapshots can read different keys.
+func BuildModelOn(tb testing.TB, vp, severeClass string) *serve.Model {
+	tb.Helper()
 	var insts []ml.Instance
 	for rtt := 10.0; rtt <= 200; rtt += 10 {
 		for loss := 0.0; loss <= 10; loss++ {
@@ -146,7 +153,7 @@ func BuildModel(tb testing.TB, severeClass string) *serve.Model {
 				}
 			}
 			insts = append(insts, ml.Instance{
-				Features: metrics.Vector{"mobile.rtt": rtt, "mobile.loss": loss},
+				Features: metrics.Vector{vp + ".rtt": rtt, vp + ".loss": loss},
 				Class:    cls,
 			})
 		}
@@ -164,4 +171,16 @@ func BuildModel(tb testing.TB, severeClass string) *serve.Model {
 // Vec builds the two-feature vector BuildModel's tree splits on.
 func Vec(rtt, loss float64) map[string]float64 {
 	return map[string]float64{"mobile.rtt": rtt, "mobile.loss": loss}
+}
+
+// WideVec is a full 358-feature row: Vec's mobile features, the same
+// values on the server vantage point (BuildModelOn(tb, "server", …)),
+// and 354 router features that neither model reads.
+func WideVec(rtt, loss float64) map[string]float64 {
+	fv := Vec(rtt, loss)
+	fv["server.rtt"], fv["server.loss"] = rtt, loss
+	for i := 0; i < 354; i++ {
+		fv[fmt.Sprintf("router.f%03d", i)] = float64(i)
+	}
+	return fv
 }

@@ -70,7 +70,7 @@ func TestServeQueueSaturationBlock(t *testing.T) {
 
 func TestServeReloadStorm(t *testing.T) {
 	withLeakCheck(t, func(h *Harness) {
-		h.ServeReloadStorm(BuildModel(t, "lan_cong_severe"), BuildModel(t, "wan_cong_severe"))
+		h.ServeReloadStorm(BuildModel(t, "lan_cong_severe"), BuildModelOn(t, "server", "wan_cong_severe"))
 	})
 }
 

@@ -8,6 +8,7 @@ package chaos
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -205,10 +206,14 @@ func (h *Harness) ServeQueueSaturation(m *serve.Model, policy serve.Policy) {
 }
 
 // ServeReloadStorm hot-swaps the model while requests are in flight,
-// interleaving failed reloads. Contract: every in-flight request is
-// answered by exactly one of the two snapshots (never a torn state),
+// interleaving failed reloads. Requests arrive both through
+// DiagnoseBatch and as NDJSON bodies through Handler(), all carrying
+// the full wide row (WideVec). Contract: every answer equals
+// mA.Diagnose or mB.Diagnose of the full row, never a torn state (a
+// body decoded for one snapshot's keys and classified by the other's),
 // failed reloads leave the engine degraded-but-serving, and a final
-// successful reload clears the degraded flag.
+// successful reload clears the degraded flag. mA and mB may read
+// different keys.
 func (h *Harness) ServeReloadStorm(mA, mB *serve.Model) {
 	h.TB.Helper()
 	e := serve.NewEngine(mA, serve.Config{Shards: 4})
@@ -219,14 +224,10 @@ func (h *Harness) ServeReloadStorm(mA, mB *serve.Model) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// Reload schedule is seed-derived but runs concurrently with the
-		// request load, so only its composition (not interleaving) is
-		// deterministic.
-		rng := h.Rand
-		h.mu.Lock()
-		flips := 50 + rng.Intn(50)
-		h.mu.Unlock()
-		for i := 0; i < flips; i++ {
+		// The reload schedule's composition is fixed; it runs
+		// concurrently with the request load until that is done, so its
+		// interleaving with the requests is not deterministic.
+		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
@@ -242,22 +243,53 @@ func (h *Harness) ServeReloadStorm(mA, mB *serve.Model) {
 			default:
 				e.Reload(mB)
 			}
+			time.Sleep(50 * time.Microsecond)
 		}
 	}()
 
-	valid := map[string]bool{}
-	for _, m := range []*serve.Model{mA, mB} {
-		for _, c := range m.Classes() {
-			valid[c] = true
+	full := WideVec(150, 8) // the severe region: differs per snapshot
+	valid := map[string]bool{mA.Diagnose(full).Class: true, mB.Diagnose(full).Class: true}
+	check := func(path string, res serve.Result) {
+		if res.Err != "" || !valid[res.Class] {
+			h.Failf("reload storm: torn or failed %s result mid-swap: %+v (want one of %v)", path, res, valid)
 		}
 	}
-	for i := 0; i < 400; i++ {
-		res := e.DiagnoseBatch([]serve.Request{
-			{ID: fmt.Sprintf("s%d", i), Features: Vec(150, 8)}, // the severe region: differs per snapshot
-		})
-		if res[0].Err != "" || !valid[res[0].Class] {
-			h.Fatalf("reload storm: torn or failed result mid-swap: %+v", res[0])
+
+	// NDJSON bodies of four wide rows through the HTTP handler, while
+	// DiagnoseBatch callers pass the same row as a map.
+	line, err := json.Marshal(map[string]any{"features": full})
+	if err != nil {
+		h.Fatalf("reload storm: %v", err)
+	}
+	var body []byte
+	for k := 0; k < 4; k++ {
+		body = append(append(body, line...), '\n')
+	}
+	handler := e.Handler()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", bytes.NewReader(body)))
+			n := 0
+			sc := bufio.NewScanner(rec.Body)
+			for sc.Scan() {
+				var res serve.Result
+				if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+					h.Failf("reload storm: bad result line %q: %v", sc.Text(), err)
+				}
+				check("/diagnose", res)
+				n++
+			}
+			if n != 4 {
+				h.Failf("reload storm: %d result lines for 4 rows (HTTP %d)", n, rec.Code)
+			}
 		}
+	}()
+	for i := 0; i < 400; i++ {
+		res := e.DiagnoseBatch([]serve.Request{{ID: fmt.Sprintf("s%d", i), Features: full}})
+		check("DiagnoseBatch", res[0])
 	}
 	close(stop)
 	wg.Wait()

@@ -1,0 +1,240 @@
+package reqscan_test
+
+import (
+	"encoding/json"
+	"math"
+	"strings"
+	"testing"
+
+	"vqprobe/internal/reqscan"
+	"vqprobe/internal/serve"
+)
+
+// parityLines are the lines whose handling by encoding/json the scanner
+// must keep: each is checked against json.Unmarshal into serve.Request.
+var parityLines = []string{
+	`{"id":"a","features":{"mobile.rtt":50,"mobile.loss":0},"explain":true}`,
+	`{"ID":"a","Features":{"mobile.rtt":1},"Explain":true}`,
+	`{"featureſ":{"mobile.rtt":1}}`,
+	`{"features":{"mobile.rtt":1},"features":{"mobile.loss":2}}`,
+	`{"features":{"mobile.rtt":1},"features":null}`,
+	`{"features":{"mobile.rtt":1,"mobile.rtt":2}}`,
+	`{"id":"a","id":"b"}`,
+	`{"features":{"mobile.rtt":null}}`,
+	`{"features":{"mobile.rtt":1e400}}`,
+	`{"features":{"other":1e400}}`,
+	`{"features":{"other":-1e400}}`,
+	`{"other":1e400}`,
+	`{"features":{"mobile.rtt":1e-400}}`,
+	`{"features":{"mobile.rtt":-0}}`,
+	`{"features":{"mobile.rtt":"x"}}`,
+	`{"features":{"other":"x"}}`,
+	`{"features":{"other":true}}`,
+	`{"features":{"other":{}}}`,
+	`{"features":{"other":[]}}`,
+	`{"features":[]}`,
+	`{"features":1}`,
+	`{"id":5}`,
+	`{"id":null}`,
+	`{"id":"a","id":null}`,
+	`{"explain":1}`,
+	`{"explain":"true"}`,
+	`{"explain":null}`,
+	`{"explain":true,"explain":null}`,
+	`{"unknown":{"a":[1,2,{"b":null}]},"id":"u"}`,
+	`null`,
+	` null `,
+	`{}`,
+	` {} `,
+	"{}\r",
+	`true`,
+	`5`,
+	`"s"`,
+	`[]`,
+	`{} {}`,
+	``,
+	` `,
+	`{"features":{"mobile.rtt":7}}`,
+	`{"id":"esc"}`,
+	`{"id":"\ud800"}`,
+	`{"id":"😀"}`,
+	`{"id":"\ud800A"}`,
+	"{\"id\":\"\xff\xfe\"}",
+	"{\"features\":{\"mobile.rtt\xff\":1}}",
+	`{"id":"a\"b\\c\/d\b\f\n\r\t"}`,
+	`{"id":"\x"}`,
+	`{"id":"\u12"}`,
+	"{\"id\":\"a\tb\"}",
+	`{"features":{"mobile.rtt":01}}`,
+	`{"features":{"mobile.rtt":1.}}`,
+	`{"features":{"mobile.rtt":.5}}`,
+	`{"features":{"mobile.rtt":1e}}`,
+	`{"features":{"mobile.rtt":-}}`,
+	`{"features":{"mobile.rtt":+1}}`,
+	`{"features":{"mobile.rtt":1.5E+3}}`,
+	`{"features":{"mobile.rtt":1,}}`,
+	`{"a":1,}`,
+	`{"a" 1}`,
+	`{"a":tru}`,
+	`{"a":nul}`,
+	`{"a":[1,]}`,
+	`{"a":[}`,
+	`{"a":{]}`,
+	`{"a":{"b"}}`,
+	`{"id":"K","features":{"K":1}}`,
+	"{\"features\":{\"mobile.rtt\":" + strings.Repeat("9", 400) + "}}",
+	"{\"features\":{\"other\":" + strings.Repeat("9", 400) + "}}",
+	"{\"features\":{\"other\":1" + strings.Repeat("0", 120) + "e200}}",
+	"{\"features\":{\"other\":1e" + strings.Repeat("0", 30) + "5}}",
+	`{"features":{"other":1.7976931348623157e308}}`,
+	`{"features":{"other":1.7976931348623159e308}}`,
+	deep(9999),
+	deep(10000),
+	"[" + strings.Repeat("[", 9999) + strings.Repeat("]", 10000),
+	strings.Repeat("[", 10000),
+}
+
+// deep is a request whose unknown field nests n arrays, so the line's
+// depth is n+1.
+func deep(n int) string {
+	return `{"x":` + strings.Repeat("[", n) + strings.Repeat("]", n) + `}`
+}
+
+// wanted is the fuzz target's wanted set: fixed names plus every other
+// key of the line's own features, so each line has wanted and
+// unwanted keys.
+func wanted(features map[string]float64) reqscan.Keys {
+	names := []string{"mobile.rtt", "mobile.loss", "K", "a"}
+	for k := range features {
+		if len(k)%2 == 0 {
+			names = append(names, k)
+		}
+	}
+	return reqscan.NewKeys(names...)
+}
+
+// checkParity scans line and fails t unless the scanner and
+// encoding/json agree on it.
+func checkParity(t *testing.T, line []byte) {
+	t.Helper()
+	var want serve.Request
+	errJ := json.Unmarshal(line, &want)
+	keys := wanted(want.Features)
+	got, errS := reqscan.Scan(line, keys)
+	if (errJ == nil) != (errS == nil) {
+		t.Fatalf("%q: encoding/json error %v, scanner error %v", trim(line), errJ, errS)
+	}
+	if errJ != nil {
+		return
+	}
+	if got.ID != want.ID || got.Explain != want.Explain {
+		t.Fatalf("%q: scanned id %q explain %v, encoding/json %q %v", trim(line), got.ID, got.Explain, want.ID, want.Explain)
+	}
+	for k := range keys {
+		vj, okj := want.Features[k]
+		vs, oks := got.Features[k]
+		if okj != oks || math.Float64bits(vj) != math.Float64bits(vs) {
+			t.Fatalf("%q: feature %q scanned (%v, %v), encoding/json (%v, %v)", trim(line), k, vs, oks, vj, okj)
+		}
+	}
+	for k := range got.Features {
+		if _, ok := keys[k]; !ok {
+			t.Fatalf("%q: unwanted feature %q in the scanned map", trim(line), k)
+		}
+	}
+}
+
+func trim(b []byte) string {
+	if len(b) > 120 {
+		return string(b[:120]) + "…"
+	}
+	return string(b)
+}
+
+func TestScanParity(t *testing.T) {
+	for _, l := range parityLines {
+		checkParity(t, []byte(l))
+	}
+}
+
+// TestScanValues pins what the parity cases read, beyond agreeing
+// with encoding/json.
+func TestScanValues(t *testing.T) {
+	keys := reqscan.NewKeys("mobile.rtt", "mobile.loss")
+	for _, tc := range []struct {
+		line    string
+		id      string
+		explain bool
+		feats   map[string]float64 // nil: no wanted key present
+	}{
+		{line: `{"ID":"x","Explain":true,"FEATURES":{"mobile.rtt":3}}`, id: "x", explain: true, feats: map[string]float64{"mobile.rtt": 3}},
+		{line: `{"featureſ":{"mobile.rtt":1}}`, feats: map[string]float64{"mobile.rtt": 1}},
+		{line: `{"features":{"mobile.rtt":1},"features":{"mobile.loss":2}}`, feats: map[string]float64{"mobile.rtt": 1, "mobile.loss": 2}},
+		{line: `{"features":{"mobile.rtt":1},"features":null}`},
+		{line: `{"features":{"mobile.rtt":1,"mobile.rtt":2,"other":9}}`, feats: map[string]float64{"mobile.rtt": 2}},
+		{line: `{"features":{"mobile.rtt":null}}`, feats: map[string]float64{"mobile.rtt": 0}},
+		{line: `{"features":{"mobile.rtt":7}}`, feats: map[string]float64{"mobile.rtt": 7}},
+		{line: `{"id":"a","id":null,"explain":true,"explain":null}`, id: "a", explain: true},
+		{line: `{"id":"\ud800x"}`, id: "�x"},
+		{line: "{\"id\":\"\xff\"}", id: "�"},
+		{line: `null`},
+	} {
+		got, err := reqscan.Scan([]byte(tc.line), keys)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.line, err)
+		}
+		if got.ID != tc.id || got.Explain != tc.explain || len(got.Features) != len(tc.feats) {
+			t.Fatalf("%s: got %+v", tc.line, got)
+		}
+		for k, v := range tc.feats {
+			if got.Features[k] != v {
+				t.Fatalf("%s: feature %q = %v, want %v", tc.line, k, got.Features[k], v)
+			}
+		}
+	}
+	got, err := reqscan.Scan([]byte(`{"features":{"mobile.rtt":-0}}`), keys)
+	if err != nil || !math.Signbit(got.Features["mobile.rtt"]) {
+		t.Fatalf("-0 lost its sign: %+v %v", got, err)
+	}
+	if _, err := reqscan.Scan([]byte(`{"features":{"other":1e400}}`), keys); err == nil {
+		t.Fatal("1e400 on an unwanted key was accepted")
+	}
+	// The router's mode: no wanted keys, no map.
+	got, err = reqscan.Scan([]byte(`{"id":"s1","features":{"mobile.rtt":50}}`), nil)
+	if err != nil || got.ID != "s1" || got.Features != nil {
+		t.Fatalf("id-only scan: %+v %v", got, err)
+	}
+}
+
+// TestScanAllocs pins the point of the scanner: a row's unwanted keys
+// cost no allocation.
+func TestScanAllocs(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"id":"session-1","features":{`)
+	for i := 0; i < 300; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`"vp.feature_` + strings.Repeat("x", i%7) + string(rune('a'+i%26)) + `":` + "12.5")
+	}
+	b.WriteString(`,"mobile.rtt":50}}`)
+	line := []byte(b.String())
+	keys := reqscan.NewKeys("mobile.rtt")
+	if n := testing.AllocsPerRun(20, func() { reqscan.Scan(line, keys) }); n > 3 {
+		t.Fatalf("%v allocs per wide row, want at most 3 (id, map, map table)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { reqscan.Scan(line, nil) }); n > 1 {
+		t.Fatalf("%v allocs per id-only scan, want at most 1 (id)", n)
+	}
+}
+
+// FuzzScanLine checks the scanner against encoding/json on arbitrary
+// lines: they must accept and reject the same lines, read the same id
+// and explain, and agree bit for bit on every wanted feature, and no
+// unwanted key may reach the scanned map.
+func FuzzScanLine(f *testing.F) {
+	for _, l := range parityLines {
+		f.Add([]byte(l))
+	}
+	f.Fuzz(checkParity)
+}

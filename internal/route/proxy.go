@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"vqprobe/internal/reqscan"
 )
 
 // maxLine bounds one NDJSON line in either direction (1 MiB, matching
@@ -145,13 +147,12 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var hdr struct {
-			ID string `json:"id"`
-		}
-		if err := json.Unmarshal(line, &hdr); err != nil {
-			// A line the router cannot parse would fail at the replica
-			// too; answering it locally keeps true input line numbers,
-			// which sub-batches would otherwise renumber.
+		// The replicas' own scanner, reading only the id: a line it
+		// rejects would fail at the replica too, and answering it here
+		// keeps true input line numbers, which sub-batches would
+		// otherwise renumber.
+		hdr, err := reqscan.Scan(line, nil)
+		if err != nil {
 			results = append(results, errLine("", fmt.Sprintf("line %d: %v", lineno, err)))
 			continue
 		}

@@ -123,6 +123,61 @@ func TestProxyMergesInInputOrder(t *testing.T) {
 	}
 }
 
+// TestProxyRejectsWhatReplicasReject pins the router's line check to
+// the replicas': a line that is valid JSON but not a valid request
+// used to pass the router, reach a replica inside a sub-batch and come
+// back numbered within that sub-batch. The router now rejects it
+// itself, with its true input line number.
+func TestProxyRejectsWhatReplicasReject(t *testing.T) {
+	a := startEngine(t, "h1", nil)
+	b := startEngine(t, "h1", nil)
+	rt := newRouter(t, Config{Replicas: []string{a.URL, b.URL}})
+
+	var ids []string
+	for i := 0; i < 16; i++ {
+		ids = append(ids, fmt.Sprintf("sess-%d", i))
+	}
+	bad := map[int]string{ // input line → the line
+		11: `{"id":"bad","features":{"mobile.rtt":"x"}}`,
+		15: `{"id":5,"features":{"mobile.rtt":150}}`,
+		19: `{"id":"big","features":{"mobile.rtt":1e400}}`,
+	}
+	var body strings.Builder
+	next := 0
+	for line := 1; line <= 19; line++ {
+		if l, ok := bad[line]; ok {
+			body.WriteString(l + "\n")
+			continue
+		}
+		body.WriteString(ndjson(ids[next]))
+		next++
+	}
+
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", strings.NewReader(body.String())))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", rec.Code, rec.Body.String())
+	}
+	rows := readRows(t, rec.Body)
+	if len(rows) != 19 {
+		t.Fatalf("got %d result rows, want 19", len(rows))
+	}
+	next = 0
+	for i, r := range rows {
+		line := i + 1
+		if _, ok := bad[line]; ok {
+			if !strings.HasPrefix(r.Err, fmt.Sprintf("line %d: ", line)) {
+				t.Fatalf("bad input line %d answered %+v, want its own line number", line, r)
+			}
+			continue
+		}
+		if r.ID != ids[next] || r.Err != "" || r.Class == "" {
+			t.Fatalf("slot %d: %+v, want %s classified", i, r, ids[next])
+		}
+		next++
+	}
+}
+
 // TestProxyFailoverExactlyOnce is the replica-kill contract: when a
 // replica dies mid-stream, rows it already answered stay answered and
 // only the unserved tail re-routes, so every acknowledged row is

@@ -22,6 +22,7 @@ import (
 	"vqprobe/internal/metrics"
 	"vqprobe/internal/ml"
 	"vqprobe/internal/ml/c45"
+	"vqprobe/internal/reqscan"
 	"vqprobe/internal/trace"
 )
 
@@ -41,6 +42,9 @@ type Model struct {
 	// transform, so normalization touches only the features the model
 	// consults instead of scanning the full raw vector.
 	plan []rowPlan
+	// keys are the raw features fillRow reads: the plan's names and
+	// their divisors. /diagnose decodes only these.
+	keys reqscan.Keys
 	info ModelInfo
 }
 
@@ -88,10 +92,16 @@ func NewBatchModel(task string, norm *features.Normalizer, bp c45.BatchPredictor
 		kind = "tree"
 	}
 	m.info = ModelInfo{Kind: kind, Trees: bp.Trees(), Nodes: bp.Nodes()}
+	var keys []string
 	for _, f := range bp.Schema() {
 		p := norm.Plan(f)
 		m.plan = append(m.plan, rowPlan{name: f, divisor: p.Divisor, scale: p.Scale, dropped: p.Dropped})
+		keys = append(keys, f)
+		if p.Divisor != "" {
+			keys = append(keys, p.Divisor)
+		}
 	}
+	m.keys = reqscan.NewKeys(keys...)
 	return m
 }
 
@@ -294,7 +304,19 @@ type Request struct {
 	Features map[string]float64 `json:"features"`
 	// Explain requests the traversed decision path in the result.
 	Explain bool `json:"explain,omitempty"`
+
+	// decodedBy, set by the /diagnose handler, is the snapshot whose
+	// keys chose which features were decoded. The worker classifies
+	// the request against it, never against a later snapshot that may
+	// read keys the decode skipped. Nil for callers that pass full
+	// feature maps: they get the snapshot current when their batch is
+	// drained.
+	decodedBy *snapshotRef
 }
+
+// snapshotRef pins one snapshot for the requests of one /diagnose body;
+// m is nil when no model was loaded.
+type snapshotRef struct{ m *Model }
 
 // Result is the engine's answer for one request.
 type Result struct {

@@ -5,11 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
+
+	"vqprobe/internal/reqscan"
 )
 
 // maxLine bounds one NDJSON request line (1 MiB).
 const maxLine = 1 << 20
+
+// lineBufs holds the 64 KiB buffers /diagnose bodies are read through.
+// A fresh one per request was most of a single-row request's garbage,
+// and the collections it drove lengthened the latency tail. Nothing
+// keeps a slice of one past its request: the scanner copies out the id
+// and the values it reads.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
 
 // Handler returns the engine's HTTP surface:
 //
@@ -83,11 +93,20 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST NDJSON to /diagnose", http.StatusMethodNotAllowed)
 		return
 	}
+	buf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(buf)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc.Buffer(*buf, maxLine)
 
 	// Decode every line first so one malformed line fails fast with a
-	// per-line error instead of poisoning the whole batch.
+	// per-line error instead of poisoning the whole batch. Each line is
+	// scanned once for the features the current snapshot reads, and
+	// every request is bound to that snapshot (see Request.decodedBy).
+	snap := &snapshotRef{m: e.model.Load()}
+	var keys reqscan.Keys
+	if snap.m != nil {
+		keys = snap.m.keys
+	}
 	var (
 		results []Result
 		reqs    []Request
@@ -100,14 +119,14 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var req Request
-		if err := json.Unmarshal(line, &req); err != nil {
+		req, err := reqscan.Scan(line, keys)
+		if err != nil {
 			results = append(results, Result{Err: fmt.Sprintf("line %d: %v", lineno, err)})
 			continue
 		}
 		slots = append(slots, len(results))
 		results = append(results, Result{})
-		reqs = append(reqs, req)
+		reqs = append(reqs, Request{ID: req.ID, Features: req.Features, Explain: req.Explain, decodedBy: snap})
 	}
 	if err := sc.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"time"
 
@@ -55,6 +56,8 @@ type batchScratch struct {
 	idx   []int32
 	row   []float64 // schema row: prep stages into it, explain rows are read back into it
 
+	snaps []*Model // distinct snapshots of the batch being processed
+
 	// Per batched job, parallel to the matrix rows.
 	jobs   []*job
 	queueD []time.Duration
@@ -63,8 +66,8 @@ type batchScratch struct {
 }
 
 // runWorker drains one shard: it batches up to MaxBatch queued jobs,
-// loads the model snapshot once per batch, and classifies the whole
-// drain through one PredictBatchIdx frontier sweep over a pooled
+// loads the model snapshot once per batch, and classifies the drain
+// through one PredictBatchIdx frontier sweep per snapshot over a pooled
 // matrix, recording per-stage latencies per request.
 func (e *Engine) runWorker(sh *shard) {
 	defer e.workers.Done()
@@ -97,18 +100,46 @@ func (e *Engine) runWorker(sh *shard) {
 	}
 }
 
-// processBatch classifies one drained batch. Every job that passes
-// prep is normalized into the worker's pooled matrix and classified in
-// a single batch sweep, whose cost is attributed evenly across the
-// batched requests' predict-stage latencies. The stages only write
-// results; the closing loop then completes every job in drain order,
-// so same-session requests complete in submission order however early
-// each was answered.
-func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued time.Time) {
+// processBatch classifies one drained batch. A job is classified by
+// the snapshot its body was decoded against (Request.decodedBy), else
+// by cur, the snapshot loaded for this batch; usually that is one
+// snapshot, and a drain that straddles a reload holds two. Per
+// snapshot, every job that passes prep is normalized into the worker's
+// pooled matrix and classified in a single batch sweep, whose cost is
+// attributed evenly across the swept requests' predict-stage
+// latencies. The sweeps only write results; the closing loop then
+// completes every job in drain order, so same-session requests
+// complete in submission order however early each was answered.
+func (e *Engine) processBatch(cur *Model, batch []job, ws *batchScratch, dequeued time.Time) {
+	ws.snaps = ws.snaps[:0]
+	for i := range batch {
+		if m := batch[i].model(cur); !slices.Contains(ws.snaps, m) {
+			ws.snaps = append(ws.snaps, m)
+		}
+	}
+	for _, m := range ws.snaps {
+		e.sweep(m, cur, batch, ws, dequeued)
+	}
+	for i := range batch {
+		e.complete(&batch[i])
+	}
+}
+
+// model is the snapshot that classifies j when cur is current.
+func (j *job) model(cur *Model) *Model {
+	if j.req.decodedBy != nil {
+		return j.req.decodedBy.m
+	}
+	return cur
+}
+
+// sweep classifies the jobs of batch whose snapshot is m.
+func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, dequeued time.Time) {
 	if m != nil {
 		if ws.model != m {
-			// First batch against a fresh snapshot: rebuild the pooled
-			// matrix for its schema. Happens once per reload per worker.
+			// First batch against another snapshot: rebuild the pooled
+			// matrix for its schema. Happens once per reload per worker,
+			// and per sweep while a drain straddles one.
 			ws.model = m
 			ws.mat = m.bp.NewMatrix(cap(batch))
 			ws.row = make([]float64, len(m.plan))
@@ -117,7 +148,9 @@ func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued 
 	}
 	ws.jobs, ws.queueD, ws.normD, ws.exp = ws.jobs[:0], ws.queueD[:0], ws.normD[:0], ws.exp[:0]
 	for i := range batch {
-		e.prep(m, &batch[i], ws, dequeued)
+		if batch[i].model(cur) == m {
+			e.prep(m, &batch[i], ws, dequeued)
+		}
 	}
 	if n := len(ws.jobs); n > 0 {
 		//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
@@ -132,9 +165,6 @@ func (e *Engine) processBatch(m *Model, batch []job, ws *batchScratch, dequeued 
 				e.finish(m, ws, bi, share)
 			}
 		}
-	}
-	for i := range batch {
-		e.complete(&batch[i])
 	}
 }
 

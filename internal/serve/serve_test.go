@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -25,6 +27,12 @@ import (
 // tell two snapshots apart.
 func testModel(t testing.TB, severeClass string) *Model {
 	t.Helper()
+	return testModelOn(t, "mobile", severeClass)
+}
+
+// testModelOn is testModel over the features <vp>.rtt and <vp>.loss.
+func testModelOn(t testing.TB, vp, severeClass string) *Model {
+	t.Helper()
 	var insts []ml.Instance
 	for rtt := 10.0; rtt <= 200; rtt += 10 {
 		for loss := 0.0; loss <= 10; loss++ {
@@ -37,7 +45,7 @@ func testModel(t testing.TB, severeClass string) *Model {
 				}
 			}
 			insts = append(insts, ml.Instance{
-				Features: metrics.Vector{"mobile.rtt": rtt, "mobile.loss": loss},
+				Features: metrics.Vector{vp + ".rtt": rtt, vp + ".loss": loss},
 				Class:    cls,
 			})
 		}
@@ -392,5 +400,79 @@ func TestHotReloadRace(t *testing.T) {
 	}
 	if v := metricValue(t, body, "vqserve_model_reloads_total"); v <= 0 {
 		t.Error("no reloads recorded")
+	}
+}
+
+// wideRow is a full row for models over the mobile and server vantage
+// points, plus filler keys that neither reads: in the severe region of
+// both, so modelA answers its severe class and modelB its own.
+func wideRow() map[string]float64 {
+	row := map[string]float64{"mobile.rtt": 150, "mobile.loss": 8, "server.rtt": 150, "server.loss": 8}
+	for i := 0; i < 350; i++ {
+		row[fmt.Sprintf("router.f%03d", i)] = float64(i) * 1.37
+	}
+	return row
+}
+
+// TestReloadKeepsDecodeSnapshot pins the hot-reload contract of the
+// /diagnose decode: a body is decoded for the keys of the snapshot
+// current at decode time, so it must be classified by that snapshot
+// even when a reload lands while it waits in the queue. Classified by
+// the new snapshot, the row would miss every key the new model reads
+// and get an answer that neither model gives on the full row.
+func TestReloadKeepsDecodeSnapshot(t *testing.T) {
+	mA := testModelOn(t, "mobile", "lan_cong_severe")
+	mB := testModelOn(t, "server", "wan_cong_severe")
+	full := wideRow()
+	onlyA := map[string]float64{"mobile.rtt": full["mobile.rtt"], "mobile.loss": full["mobile.loss"]}
+	wantA, wantB, torn := mA.Diagnose(full).Class, mB.Diagnose(full).Class, mB.Diagnose(onlyA).Class
+	if torn == wantA || torn == wantB {
+		t.Fatalf("fixture cannot tell: A %q, B %q, B on A's keys %q", wantA, wantB, torn)
+	}
+
+	wedged, release := make(chan struct{}), make(chan struct{})
+	e := NewEngine(mA, Config{Shards: 1, InjectFault: func(r *Request) error {
+		if r.ID == "block" {
+			close(wedged)
+			<-release
+		}
+		return nil
+	}})
+	defer e.Close()
+	blocker := make(chan []Result, 1)
+	go func() { blocker <- e.DiagnoseBatch([]Request{{ID: "block", Features: full}}) }()
+	<-wedged // the worker holds the first job
+
+	line, err := json.Marshal(map[string]any{"id": "wide", "features": full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := e.Handler()
+	answer := make(chan string, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", bytes.NewReader(line)))
+		answer <- rec.Body.String()
+	}()
+	for len(e.shards[0].ch) == 0 { // decoded against A and queued behind the first job
+		time.Sleep(time.Millisecond)
+	}
+	e.Reload(mB)
+	close(release)
+	<-blocker
+
+	var got Result
+	if err := json.Unmarshal([]byte(<-answer), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Class != wantA {
+		t.Fatalf("row decoded against A answered %+v, want A's %q (B's %q, torn %q)", got, wantA, wantB, torn)
+	}
+
+	// A body decoded after the reload is B's.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", bytes.NewReader(line)))
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Class != wantB {
+		t.Fatalf("after the reload: %+v %v, want B's %q", got, err, wantB)
 	}
 }
