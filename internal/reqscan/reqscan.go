@@ -23,12 +23,19 @@
 // check and is skipped. vqserve scans against its model's plan keys,
 // vqroute with no wanted keys, for the id alone. The package uses only
 // the standard library, so the router links no engine code.
+//
+// A wide row is mostly keys and numbers nobody reads, so the scanner
+// steps over string and digit runs a machine word at a time, two
+// 8-byte words per step, and a bit filter turns most unwanted keys
+// away before the wanted set's map is hashed.
 package reqscan
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -37,18 +44,63 @@ import (
 // maxDepth is encoding/json's nesting limit; a deeper line is rejected.
 const maxDepth = 10000
 
-// Keys is the set of feature names whose values Scan parses. Each name
-// maps to itself, so a hit yields the set's own string and storing the
-// value allocates no key.
-type Keys map[string]string
+// Keys is the set of feature names whose values Scan parses; a nil
+// *Keys holds none.
+type Keys struct {
+	// names maps each name to itself, so a hit yields the set's own
+	// string and storing the value allocates no key.
+	names map[string]string
+	// filter has bit keyHash(name) set for every name. A key whose bit
+	// is clear is not in the set, and is not hashed through names.
+	filter [filterBits / 64]uint64
+}
+
+// filterBits is the filter's size: with a model's tens of plan keys,
+// a few percent of unwanted keys pass it and take the map lookup.
+const (
+	filterLog  = 12
+	filterBits = 1 << filterLog
+)
 
 // NewKeys returns the set of the given names.
-func NewKeys(names ...string) Keys {
-	k := make(Keys, len(names))
+func NewKeys(names ...string) *Keys {
+	k := &Keys{names: make(map[string]string, len(names))}
 	for _, n := range names {
-		k[n] = n
+		k.names[n] = n
+		h := keyHash([]byte(n))
+		k.filter[h/64] |= 1 << (h % 64)
 	}
 	return k
+}
+
+// lookup returns the set's own string for key, if key is in the set.
+func (k *Keys) lookup(key []byte) (string, bool) {
+	if k == nil {
+		return "", false
+	}
+	if h := keyHash(key); k.filter[h/64]&(1<<(h%64)) == 0 {
+		return "", false
+	}
+	name, ok := k.names[string(key)]
+	return name, ok
+}
+
+// keyHash is the filter's hash of a key: its length and its first and
+// last 8 bytes, which is where feature names differ (a VP prefix, a
+// statistic suffix), mixed by one multiply into filterLog bits.
+func keyHash(key []byte) uint {
+	n := len(key)
+	var first, last uint64
+	if n >= 8 {
+		first = binary.LittleEndian.Uint64(key)
+		last = binary.LittleEndian.Uint64(key[n-8:])
+	} else {
+		for i, c := range key {
+			first |= uint64(c) << (8 * i)
+		}
+	}
+	h := (first ^ bits.RotateLeft64(last, 31) ^ uint64(n)) * 0x9E3779B97F4A7C15
+	return uint(h >> (64 - filterLog))
 }
 
 // Request is one scanned line.
@@ -68,10 +120,10 @@ var (
 
 // Scan reads one request line, parsing the features named in keys (nil
 // parses none). The error says what is wrong and at which byte.
-func Scan(line []byte, keys Keys) (Request, error) {
+func Scan(line []byte, keys *Keys) (Request, error) {
 	s := scanner{b: line, keys: keys}
 	var r Request
-	s.ws()
+	s.i = ws(s.b, s.i)
 	var err error
 	switch s.peek() {
 	case '{':
@@ -82,7 +134,7 @@ func Scan(line []byte, keys Keys) (Request, error) {
 		err = s.mismatch("the request", "an object")
 	}
 	if err == nil {
-		s.ws()
+		s.i = ws(s.b, s.i)
 		if s.i < len(s.b) {
 			err = s.invalid("after the request object")
 		}
@@ -93,27 +145,37 @@ func Scan(line []byte, keys Keys) (Request, error) {
 	return r, nil
 }
 
-// scanner is one line being read; i is the next unread byte.
+// scanner is one line being read; i is the next unread byte, except
+// inside key, str, number and next, which take and return positions
+// (see key).
 type scanner struct {
 	b    []byte
 	i    int
-	keys Keys
+	keys *Keys
 	tmp  []byte // unescaped key or id, when the raw text has escapes or non-ASCII bytes
 }
 
-func (s *scanner) peek() byte {
-	if s.i < len(s.b) {
-		return s.b[s.i]
+func (s *scanner) peek() byte { return at(s.b, s.i) }
+
+// at returns b[i], or 0 past the end of b.
+func at(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
 	}
 	return 0
 }
 
-func (s *scanner) ws() {
-	b, i := s.b, s.i
+// ws returns the index of the first byte at or after b[i] that is not
+// JSON whitespace. Compact NDJSON has none, so it returns at once on
+// the byte above ' ' that always sits there.
+func ws(b []byte, i int) int {
+	if i < len(b) && b[i] > ' ' {
+		return i
+	}
 	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
 		i++
 	}
-	s.i = i
+	return i
 }
 
 // errEOL reports a line that ends inside a value.
@@ -150,34 +212,35 @@ func (s *scanner) mismatch(field, want string) error {
 	return fmt.Errorf("%s must be %s, not %s (byte %d)", field, want, got, s.i)
 }
 
-// next consumes the separator after a member or element: it reports
-// true at the container's closing byte and false after a comma.
-func (s *scanner) next(closer byte) (bool, error) {
-	s.ws()
-	switch s.peek() {
+// next reads the separator after a member or element, which ended
+// before b[i], and returns the index past it: done is true at the
+// container's closing byte and false after a comma.
+func (s *scanner) next(i int, closer byte) (j int, done bool, err error) {
+	i = ws(s.b, i)
+	switch at(s.b, i) {
 	case ',':
-		s.i++
-		return false, nil
+		return i + 1, false, nil
 	case closer:
-		s.i++
-		return true, nil
+		return i + 1, true, nil
 	}
-	return false, s.invalid("after a value")
+	s.i = i
+	return i, false, s.invalid("after a value")
 }
 
 // object reads the request object at s.i.
 func (s *scanner) object(r *Request) error {
 	s.i++
-	s.ws()
+	s.i = ws(s.b, s.i)
 	if s.peek() == '}' {
 		s.i++
 		return nil
 	}
 	for {
-		key, err := s.key()
+		key, i, err := s.key(s.i)
 		if err != nil {
 			return err
 		}
+		s.i = i
 		switch {
 		case bytes.EqualFold(key, fieldFeatures):
 			err = s.features(r)
@@ -191,30 +254,37 @@ func (s *scanner) object(r *Request) error {
 		if err != nil {
 			return err
 		}
-		if done, err := s.next('}'); done || err != nil {
+		var done bool
+		if s.i, done, err = s.next(s.i, '}'); done || err != nil {
 			return err
 		}
 	}
 }
 
-// key reads an object key and its colon, leaving s.i at the value. The
-// returned bytes are unescaped and valid only until the next key.
-func (s *scanner) key() ([]byte, error) {
-	s.ws()
-	if s.peek() != '"' {
-		return nil, s.invalid("looking for an object key")
+// key reads the object key at b[i], after any whitespace, and its
+// colon, and returns the key and the index of the value. The key's
+// bytes are unescaped and valid only until the next key.
+//
+// The hot loops pass positions like i in and out rather than through
+// s.i, which they set only to report an error: a row's every key and
+// value would otherwise store s.i and load it straight back.
+func (s *scanner) key(i int) (key []byte, val int, err error) {
+	b := s.b
+	i = ws(b, i)
+	if at(b, i) != '"' {
+		s.i = i
+		return nil, 0, s.invalid("looking for an object key")
 	}
-	raw, plain, err := s.str()
+	raw, plain, err := s.str(i)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	s.ws()
-	if s.peek() != ':' {
-		return nil, s.invalid("after an object key")
+	i = ws(b, i+len(raw)+2) // past both quotes
+	if at(b, i) != ':' {
+		s.i = i
+		return nil, 0, s.invalid("after an object key")
 	}
-	s.i++
-	s.ws()
-	return s.text(raw, plain), nil
+	return s.text(raw, plain), ws(b, i+1), nil
 }
 
 // features reads the "features" value: an object merges into the
@@ -228,25 +298,26 @@ func (s *scanner) features(r *Request) error {
 	default:
 		return s.mismatch(`"features"`, "an object")
 	}
-	s.i++
-	s.ws()
-	if s.peek() == '}' {
-		s.i++
+	b := s.b
+	i := ws(b, s.i+1)
+	if at(b, i) == '}' {
+		s.i = i + 1
 		return nil
 	}
 	for {
-		key, err := s.key()
+		key, j, err := s.key(i)
 		if err != nil {
 			return err
 		}
-		name, want := s.keys[string(key)]
+		name, want := s.keys.lookup(key)
 		v := 0.0 // null stores 0, as encoding/json does
-		switch c := s.peek(); {
-		case c == '-' || '0' <= c && c <= '9':
-			num, mant, err := s.number()
+		switch c := at(b, j); {
+		case c == '-' || c-'0' < 10:
+			num, mant, err := s.number(j)
 			if err != nil {
 				return err
 			}
+			j += len(num)
 			if want {
 				v, err = strconv.ParseFloat(string(num), 64)
 			} else if overflows(num, mant) {
@@ -256,19 +327,24 @@ func (s *scanner) features(r *Request) error {
 				return fmt.Errorf("feature %q: number %s is out of float64 range", key, num)
 			}
 		case c == 'n':
+			s.i = j
 			if err := s.literal("null"); err != nil {
 				return err
 			}
+			j = s.i
 		default:
+			s.i = j
 			return s.mismatch(fmt.Sprintf("feature %q", key), "a number")
 		}
 		if want {
 			if r.Features == nil {
-				r.Features = make(map[string]float64, len(s.keys))
+				r.Features = make(map[string]float64, len(s.keys.names))
 			}
 			r.Features[name] = v
 		}
-		if done, err := s.next('}'); done || err != nil {
+		var done bool
+		if i, done, err = s.next(j, '}'); done || err != nil {
+			s.i = i // past the object when done, at the bad byte on error
 			return err
 		}
 	}
@@ -277,10 +353,11 @@ func (s *scanner) features(r *Request) error {
 func (s *scanner) id(r *Request) error {
 	switch s.peek() {
 	case '"':
-		raw, plain, err := s.str()
+		raw, plain, err := s.str(s.i)
 		if err != nil {
 			return err
 		}
+		s.i += len(raw) + 2
 		r.ID = string(s.text(raw, plain))
 		return nil
 	case 'n':
@@ -314,43 +391,40 @@ func (s *scanner) literal(word string) error {
 	return nil
 }
 
-// str reads the string at s.i and returns the raw bytes between its
-// quotes; plain reports that they hold neither escapes nor non-ASCII
-// bytes, so they need no unescaping.
-func (s *scanner) str() (raw []byte, plain bool, err error) {
+// str reads the string whose opening quote is b[q] and returns the raw
+// bytes between its quotes, so it ends before b[q+len(raw)+2]; plain
+// reports that they hold neither escapes nor non-ASCII bytes, so they
+// need no unescaping.
+func (s *scanner) str(q int) (raw []byte, plain bool, err error) {
 	b := s.b
-	start := s.i + 1
+	start := q + 1
 	i := start
 	plain = true
 	for {
-		for i < len(b) && plainByte[b[i]] {
-			i++
-		}
+		i = plainRun(b, i)
 		if i >= len(b) {
 			return nil, false, errEOL
 		}
 		switch c := b[i]; {
 		case c == '"':
-			s.i = i + 1
 			return b[start:i], plain, nil
 		case c == '\\':
 			plain = false
-			s.i = i + 1
-			switch s.peek() {
+			switch at(b, i+1) {
 			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				s.i++
+				i += 2
 			case 'u':
-				s.i++
-				for k := 0; k < 4; k++ {
-					if unhex(s.peek()) < 0 {
+				for k := i + 2; k < i+6; k++ {
+					if unhex(at(b, k)) < 0 {
+						s.i = k
 						return nil, false, s.invalid("in a \\u escape")
 					}
-					s.i++
 				}
+				i += 6
 			default:
+				s.i = i + 1
 				return nil, false, s.invalid("in a string escape")
 			}
-			i = s.i
 		case c < 0x20:
 			s.i = i
 			return nil, false, s.invalid("in a string")
@@ -359,6 +433,45 @@ func (s *scanner) str() (raw []byte, plain bool, err error) {
 			i++
 		}
 	}
+}
+
+// Word masks: each byte of lo7 is 0x7f, of hi 0x80, and each byte of
+// rep(c) is c.
+const (
+	lo7 = 0x7f7f7f7f7f7f7f7f
+	hi  = 0x8080808080808080
+)
+
+func rep(c byte) uint64 { return uint64(c) * 0x0101010101010101 }
+
+// special returns, for the 8 string bytes of w (the first in the low
+// byte), 0x80 in the place of each byte that is not a plainByte: a
+// quote, a backslash, a control byte or a non-ASCII byte, and 0
+// elsewhere. Every per-byte sum below stays under 0x100, so no carry
+// crosses into the next byte and the mask is exact.
+func special(w uint64) uint64 {
+	low := w & lo7
+	quote := (low ^ rep('"')) + lo7      // high bit set unless the byte is a quote
+	backslash := (low ^ rep('\\')) + lo7 // unless it is a backslash
+	printable := low + rep(0x80-' ')     // set when it is ' ' or above
+	return (w | ^(quote & backslash & printable)) & hi
+}
+
+// nonDigit returns, for the 8 bytes of w, 0x80 in the place of each
+// byte that is not a decimal digit and 0 elsewhere; exact, as special.
+func nonDigit(w uint64) uint64 {
+	low := w & lo7
+	atLeast0 := low + rep(0x80-'0')
+	above9 := low + rep(0x80-'9'-1)
+	return (w | ^atLeast0 | above9) & hi
+}
+
+// firstByte returns the index of the first flagged byte of the 16
+// whose masks are m1 and m2, one of them non-zero.
+func firstByte(m1, m2 uint64) int {
+	t1 := bits.TrailingZeros64(m1) // 64 when m1 is 0
+	t2 := bits.TrailingZeros64(m2)
+	return (t1 + t2&-(t1>>6)) / 8
 }
 
 // plainByte marks the bytes a string holds as themselves: printable
@@ -380,50 +493,80 @@ func (s *scanner) text(raw []byte, plain bool) []byte {
 	return s.tmp
 }
 
-// number reads the JSON number at s.i and returns its text and the
-// length of its mantissa, the text before any exponent.
-func (s *scanner) number() (num []byte, mant int, err error) {
-	start := s.i
-	if s.peek() == '-' {
-		s.i++
+// number reads the JSON number at b[start] and returns its text and
+// the length of its mantissa, the text before any exponent.
+func (s *scanner) number(start int) (num []byte, mant int, err error) {
+	b := s.b
+	i := start
+	if at(b, i) == '-' {
+		i++
 	}
-	switch c := s.peek(); {
+	switch c := at(b, i); {
 	case c == '0':
-		s.i++
-	case '1' <= c && c <= '9':
-		s.digits()
+		i++
+	case c-'1' < 9:
+		i = digits(b, i)
 	default:
+		s.i = i
 		return nil, 0, s.invalid("in a number")
 	}
-	if s.peek() == '.' {
-		s.i++
-		if !s.digits() {
+	if at(b, i) == '.' {
+		i++
+		j := digits(b, i)
+		if j == i {
+			s.i = i
 			return nil, 0, s.invalid("after a decimal point")
 		}
+		i = j
 	}
-	mant = s.i - start
-	if c := s.peek(); c == 'e' || c == 'E' {
-		s.i++
-		if c := s.peek(); c == '+' || c == '-' {
-			s.i++
+	mant = i - start
+	if c := at(b, i); c == 'e' || c == 'E' {
+		i++
+		if c := at(b, i); c == '+' || c == '-' {
+			i++
 		}
-		if !s.digits() {
+		j := digits(b, i)
+		if j == i {
+			s.i = i
 			return nil, 0, s.invalid("in an exponent")
 		}
+		i = j
 	}
-	return s.b[start:s.i], mant, nil
+	return b[start:i], mant, nil
 }
 
-// digits consumes a run of decimal digits and reports whether there was
-// at least one.
-func (s *scanner) digits() bool {
-	b, i := s.b, s.i
+// plainRun returns the end of the run of plainBytes at b[i:].
+func plainRun(b []byte, i int) int {
+	for i+16 <= len(b) {
+		w := b[i : i+16]
+		m1 := special(binary.LittleEndian.Uint64(w))
+		m2 := special(binary.LittleEndian.Uint64(w[8:]))
+		if m1|m2 != 0 {
+			return i + firstByte(m1, m2)
+		}
+		i += 16
+	}
+	for i < len(b) && plainByte[b[i]] {
+		i++
+	}
+	return i
+}
+
+// digits returns the end of the run of decimal digits at b[i:].
+func digits(b []byte, i int) int {
+	for i+16 <= len(b) {
+		w := b[i : i+16]
+		m1 := nonDigit(binary.LittleEndian.Uint64(w))
+		m2 := nonDigit(binary.LittleEndian.Uint64(w[8:]))
+		if m1|m2 != 0 {
+			return i + firstByte(m1, m2)
+		}
+		i += 16
+	}
 	for i < len(b) && b[i]-'0' < 10 {
 		i++
 	}
-	ok := i > s.i
-	s.i = i
-	return ok
+	return i
 }
 
 // skip checks the syntax of the value at s.i, which sits at nesting
@@ -440,26 +583,32 @@ func (s *scanner) skip(depth int) error {
 			}
 			open = append(open, c)
 			s.i++
-			s.ws()
+			s.i = ws(s.b, s.i)
 			if s.peek() == c+2 { // '}' and ']' sit two past '{' and '['
 				s.i++
 				open = open[:len(open)-1]
 				break
 			}
 			if c == '{' {
-				if _, err := s.key(); err != nil {
+				_, i, err := s.key(s.i)
+				if err != nil {
 					return err
 				}
+				s.i = i
 			}
 			continue // read the first member's value
 		case c == '"':
-			if _, _, err := s.str(); err != nil {
+			raw, _, err := s.str(s.i)
+			if err != nil {
 				return err
 			}
+			s.i += len(raw) + 2
 		case c == '-' || '0' <= c && c <= '9':
-			if _, _, err := s.number(); err != nil {
+			num, _, err := s.number(s.i)
+			if err != nil {
 				return err
 			}
+			s.i += len(num)
 		case c == 't':
 			if err := s.literal("true"); err != nil {
 				return err
@@ -482,17 +631,20 @@ func (s *scanner) skip(depth int) error {
 				return nil
 			}
 			top := open[len(open)-1]
-			done, err := s.next(top + 2)
+			i, done, err := s.next(s.i, top+2)
 			if err != nil {
 				return err
 			}
+			s.i = i
 			if !done {
 				if top == '{' {
-					if _, err := s.key(); err != nil {
+					_, i, err := s.key(s.i)
+					if err != nil {
 						return err
 					}
+					s.i = i
 				} else {
-					s.ws()
+					s.i = ws(s.b, s.i)
 				}
 				break
 			}

@@ -94,6 +94,41 @@ var parityLines = []string{
 	strings.Repeat("[", 10000),
 }
 
+// boundaryLines put each byte the scanner's word loops stop at, in a
+// key, in the id and in an unknown field's string, at every offset
+// 0–23 from the string's start, so it falls at each place in a 16-byte
+// step and in the byte-at-a-time tail: a closing quote, escapes, control
+// bytes, DEL (plain), multi-byte characters, invalid UTF-8 and \u
+// escapes. Digit runs of every length 1–24 stand in each part of a
+// number, and one line is cut short at every byte.
+func boundaryLines() []string {
+	specials := []string{`"`, `\"`, `\\`, `\/`, "\x00", "\x1f", "\x7f", "é", "😀", "\xff", `\u00e9`, `\ud83d\ude00`, `\u12`}
+	var lines []string
+	for off := 0; off < 24; off++ {
+		pad := strings.Repeat("k", off)
+		for _, sp := range specials {
+			str := pad + sp + "tail"
+			lines = append(lines,
+				`{"features":{"`+str+`":1,"mobile.rtt":2}}`,
+				`{"id":"`+str+`"}`,
+				`{"x":"`+str+`","id":"a"}`,
+			)
+		}
+	}
+	const digits = "123456789012345678901234"
+	for n := 1; n <= len(digits); n++ {
+		d := digits[:n]
+		for _, num := range []string{d, "-" + d, "0" + d, "0." + d, d + "." + d, "-" + d + ".5", d + "e" + d, "1.5E+" + d, "1e-" + d, d + "."} {
+			lines = append(lines, `{"features":{"mobile.rtt":`+num+`,"other":`+num+`}}`)
+		}
+	}
+	full := `{"id":"session-0123456789abcdef","features":{"mobile.tcp_c2s_rtt_ms_avg":566.5615751722809,"mobile.rtt":1234567890123456789e-3}}`
+	for n := range full {
+		lines = append(lines, full[:n])
+	}
+	return lines
+}
+
 // deep is a request whose unknown field nests n arrays, so the line's
 // depth is n+1.
 func deep(n int) string {
@@ -103,14 +138,14 @@ func deep(n int) string {
 // wanted is the fuzz target's wanted set: fixed names plus every other
 // key of the line's own features, so each line has wanted and
 // unwanted keys.
-func wanted(features map[string]float64) reqscan.Keys {
-	names := []string{"mobile.rtt", "mobile.loss", "K", "a"}
+func wanted(features map[string]float64) map[string]bool {
+	names := map[string]bool{"mobile.rtt": true, "mobile.loss": true, "K": true, "a": true}
 	for k := range features {
 		if len(k)%2 == 0 {
-			names = append(names, k)
+			names[k] = true
 		}
 	}
-	return reqscan.NewKeys(names...)
+	return names
 }
 
 // checkParity scans line and fails t unless the scanner and
@@ -120,7 +155,11 @@ func checkParity(t *testing.T, line []byte) {
 	var want serve.Request
 	errJ := json.Unmarshal(line, &want)
 	keys := wanted(want.Features)
-	got, errS := reqscan.Scan(line, keys)
+	names := make([]string, 0, len(keys))
+	for k := range keys {
+		names = append(names, k)
+	}
+	got, errS := reqscan.Scan(line, reqscan.NewKeys(names...))
 	if (errJ == nil) != (errS == nil) {
 		t.Fatalf("%q: encoding/json error %v, scanner error %v", trim(line), errJ, errS)
 	}
@@ -138,7 +177,7 @@ func checkParity(t *testing.T, line []byte) {
 		}
 	}
 	for k := range got.Features {
-		if _, ok := keys[k]; !ok {
+		if !keys[k] {
 			t.Fatalf("%q: unwanted feature %q in the scanned map", trim(line), k)
 		}
 	}
@@ -153,6 +192,9 @@ func trim(b []byte) string {
 
 func TestScanParity(t *testing.T) {
 	for _, l := range parityLines {
+		checkParity(t, []byte(l))
+	}
+	for _, l := range boundaryLines() {
 		checkParity(t, []byte(l))
 	}
 }
@@ -174,6 +216,7 @@ func TestScanValues(t *testing.T) {
 		{line: `{"features":{"mobile.rtt":1,"mobile.rtt":2,"other":9}}`, feats: map[string]float64{"mobile.rtt": 2}},
 		{line: `{"features":{"mobile.rtt":null}}`, feats: map[string]float64{"mobile.rtt": 0}},
 		{line: `{"features":{"mobile.rtt":7}}`, feats: map[string]float64{"mobile.rtt": 7}},
+		{line: `{"features":{"mobile\u002ertt":5,"mobil\u0065.loss":6}}`, feats: map[string]float64{"mobile.rtt": 5, "mobile.loss": 6}},
 		{line: `{"id":"a","id":null,"explain":true,"explain":null}`, id: "a", explain: true},
 		{line: `{"id":"\ud800x"}`, id: "�x"},
 		{line: "{\"id\":\"\xff\"}", id: "�"},
@@ -206,6 +249,23 @@ func TestScanValues(t *testing.T) {
 	}
 }
 
+// TestScanFilterTwin scans an unwanted key whose filter bit is a wanted
+// key's: the filter lets it through, and the exact lookup behind the
+// filter must still keep it out of the scanned map.
+func TestScanFilterTwin(t *testing.T) {
+	keys := reqscan.NewKeys("mobile.rtt")
+	twin := reqscan.FilterTwin("mobile.rtt")
+	if twin == "mobile.rtt" || !keys.Passes(twin) {
+		t.Fatalf("twin %q of mobile.rtt does not share its filter bit", twin)
+	}
+	line := []byte(`{"features":{"` + twin + `":1,"mobile.rtt":2}}`)
+	got, err := reqscan.Scan(line, keys)
+	if err != nil || len(got.Features) != 1 || got.Features["mobile.rtt"] != 2 {
+		t.Fatalf("%s: got %+v %v, want only mobile.rtt = 2", line, got, err)
+	}
+	checkParity(t, line)
+}
+
 // TestScanAllocs pins the point of the scanner: a row's unwanted keys
 // cost no allocation.
 func TestScanAllocs(t *testing.T) {
@@ -234,6 +294,9 @@ func TestScanAllocs(t *testing.T) {
 // unwanted key may reach the scanned map.
 func FuzzScanLine(f *testing.F) {
 	for _, l := range parityLines {
+		f.Add([]byte(l))
+	}
+	for _, l := range boundaryLines() {
 		f.Add([]byte(l))
 	}
 	f.Fuzz(checkParity)

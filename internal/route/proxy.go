@@ -20,6 +20,13 @@ import (
 // vqserve's ingest bound).
 const maxLine = 1 << 20
 
+// lineBufs holds the 64 KiB buffers client bodies and replica answers
+// are read through, as vqserve's handler does: a fresh one per body was
+// most of a request's garbage. Nothing keeps a slice of one past its
+// read: request lines are copied into their rowRef, answer lines into
+// results.
+var lineBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
+
 // rowRef is one input row in flight: its slot in the merged response
 // and the raw line forwarded verbatim to whichever replica serves it.
 type rowRef struct {
@@ -131,8 +138,10 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		t0 = rt.cfg.Clock()
 	}
 
+	scanBuf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(scanBuf)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc.Buffer(*scanBuf, maxLine)
 	var (
 		results [][]byte
 		perRep  = make([][]rowRef, len(rt.reps))
@@ -307,8 +316,10 @@ func (rt *Router) sendBatch(ctx context.Context, rep *replica, rows []rowRef, re
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return rows, fmt.Sprintf("replica HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
+	scanBuf := lineBufs.Get().(*[]byte)
+	defer lineBufs.Put(scanBuf)
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), maxLine)
+	sc.Buffer(*scanBuf, maxLine)
 	served := 0
 	for served < len(rows) && sc.Scan() {
 		line := sc.Bytes()

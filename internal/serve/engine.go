@@ -44,7 +44,7 @@ type Model struct {
 	plan []rowPlan
 	// keys are the raw features fillRow reads: the plan's names and
 	// their divisors. /diagnose decodes only these.
-	keys reqscan.Keys
+	keys *reqscan.Keys
 	info ModelInfo
 }
 

@@ -103,7 +103,7 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	// scanned once for the features the current snapshot reads, and
 	// every request is bound to that snapshot (see Request.decodedBy).
 	snap := &snapshotRef{m: e.model.Load()}
-	var keys reqscan.Keys
+	var keys *reqscan.Keys
 	if snap.m != nil {
 		keys = snap.m.keys
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -37,8 +38,36 @@ func benchDiagnose(b *testing.B, rows int, row map[string]float64) {
 }
 
 // BenchmarkDiagnoseHandlerWide is a bulk upload of full rows: 8 rows of
-// 354 features, of which the model reads 2.
-func BenchmarkDiagnoseHandlerWide(b *testing.B) { benchDiagnose(b, 8, wideRow()) }
+// 358 features, of which the model reads 2.
+func BenchmarkDiagnoseHandlerWide(b *testing.B) { benchDiagnose(b, 8, benchWideRow()) }
+
+// benchWideRow is a row shaped like vqbench's bulk-wide rows: 358
+// VP-prefixed statistics with shortest-form values (counters,
+// fractions and 17-digit means, from a fixed seed), among them the
+// model's mobile.rtt and mobile.loss.
+func benchWideRow() map[string]float64 {
+	row := fv(150, 8)
+	x := uint64(1)
+	for i := 0; len(row) < 358; i++ {
+		x = x*6364136223846793005 + 1442695040888963407 // LCG step
+		vp := []string{"mobile", "router", "server"}[i%3]
+		dir := []string{"c2s", "s2c"}[i/3%2]
+		stat := []string{"avg", "cnt", "max", "min", "std"}[i%5]
+		name := fmt.Sprintf("%s.tcp_%s_f%02d_%s", vp, dir, i/6, stat)
+		u := float64(x>>11) / (1 << 53)
+		switch x >> 62 {
+		case 0:
+			row[name] = float64(x >> 40 % 2000)
+		case 1:
+			row[name] = u * 1000
+		case 2:
+			row[name] = u / 100
+		default:
+			row[name] = math.Round(u*1e6) / 1e3
+		}
+	}
+	return row
+}
 
 // BenchmarkDiagnoseHandlerNarrow is a bulk upload trimmed to the keys
 // the model reads: 100 rows of its 2 plan features.

@@ -21,7 +21,10 @@
 # set drives full /diagnose round trips through an in-process vqroute
 # handler over loopback replicas: rows/s is proxy throughput, and the
 # failover bench's ns/op is the detect-and-re-route latency for a
-# batch whose sticky replica rejects it (docs/ROUTING.md).
+# batch whose sticky replica rejects it (docs/ROUTING.md). The decode
+# set times the /diagnose line scanner on one row per iteration: a
+# bulk-wide row (358 features, 10 read) and a bulk-narrow one (the 10
+# alone).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,6 +33,7 @@ FLEET_BENCH='BenchmarkFleetSessions'
 INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPredictBatch|BenchmarkForestPredictBatchParallel|BenchmarkForestPredictVector|BenchmarkSnapshotLoad'
 LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
+SCAN_BENCHES='BenchmarkScanWide|BenchmarkScanNarrow'
 BASELINE=reports/BENCH.json
 MODE="${1:-run}"
 
@@ -53,12 +57,17 @@ run_route_bench() { # $1: -benchtime value (duration-based: one iteration = one 
   go test -run '^$' -bench "^(${ROUTE_BENCHES})\$" -benchmem -benchtime "$1" ./internal/route/
 }
 
-run_all() { # $1 training, $2 fleet, $3 inference, $4 router -benchtime; stops at the first failure
+run_scan_bench() { # $1: -benchtime value (duration-based: one iteration = one row, ~2–40 µs)
+  go test -run '^$' -bench "^(${SCAN_BENCHES})\$" -benchmem -benchtime "$1" ./internal/reqscan/
+}
+
+run_all() { # $1 training, $2 fleet, $3 inference, $4 router and decode -benchtime; stops at the first failure
   run_bench "$1" &&
     run_fleet_bench "$2" &&
     run_infer_bench "$3" &&
     run_lint_bench &&
-    run_route_bench "$4"
+    run_route_bench "$4" &&
+    run_scan_bench "$4"
 }
 
 case "$MODE" in
