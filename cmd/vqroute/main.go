@@ -100,6 +100,7 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
+	metrics.RegisterGoRuntime(reg, "vqroute") // the CPU split between user code and GC, read at scrape time
 	rt, err := route.New(route.Config{
 		Replicas:    urls,
 		Registry:    reg,

@@ -136,6 +136,7 @@ func main() {
 	var plane *obs.Plane
 	var alertsFunc func() any
 	reg := metrics.NewRegistry()
+	metrics.RegisterGoRuntime(reg, "vqserve") // the CPU split between user code and GC, read at scrape time
 	if *obsEvery > 0 {
 		slos := obs.DefaultServeSLOs()
 		if *sloPath != "" {

@@ -118,10 +118,15 @@ var LatencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1,
 }
 
+// counterFunc is a counter whose total another component keeps (see
+// RegisterGoRuntime). The registry calls it, under its lock, each time
+// it renders or snapshots the series, so it must not use the registry.
+type counterFunc func() float64
+
 // series is one registered metric instance.
 type series struct {
 	labels string // label body without braces, "" for none
-	metric any    // *Counter, *Gauge or *Histogram
+	metric any    // *Counter, counterFunc, *Gauge or *Histogram
 }
 
 // family groups series sharing a base name.
@@ -238,6 +243,8 @@ func (r *Registry) writeText(w io.Writer, openMetrics bool) {
 			switch m := s.metric.(type) {
 			case *Counter:
 				fmt.Fprintf(w, "%s%s %d\n", f.name, withLabel(labels, ""), m.Value())
+			case counterFunc:
+				fmt.Fprintf(w, "%s%s %s\n", f.name, withLabel(labels, ""), formatFloat(m()))
 			case *Gauge:
 				fmt.Fprintf(w, "%s%s %s\n", f.name, withLabel(labels, ""), formatFloat(m.Value()))
 			case *Histogram:
@@ -314,6 +321,8 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 			switch m := s.metric.(type) {
 			case *Counter:
 				snap.Value = float64(m.Value())
+			case counterFunc:
+				snap.Value = m()
 			case *Gauge:
 				snap.Value = m.Value()
 			case *Histogram:

@@ -99,6 +99,7 @@ var scanSink reqscan.Request
 // benchScan scans rows in turn, one row per op.
 func benchScan(b *testing.B, rows [][]byte, wanted []string) {
 	keys := reqscan.NewKeys(wanted...)
+	vals := make([]float64, keys.Len())
 	size := 0
 	for _, r := range rows {
 		size += len(r)
@@ -107,7 +108,7 @@ func benchScan(b *testing.B, rows [][]byte, wanted []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := reqscan.Scan(rows[i%len(rows)], keys)
+		r, err := reqscan.Scan(rows[i%len(rows)], keys, vals)
 		if err != nil {
 			b.Fatal(err)
 		}

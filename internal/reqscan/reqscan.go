@@ -19,10 +19,12 @@
 //   - nesting deeper than 10,000 levels rejects the line.
 //
 // It parses a feature value into a float64 only when its key is in the
-// caller's wanted set; every other value gets its syntax and range
-// check and is skipped. vqserve scans against its model's plan keys,
-// vqroute with no wanted keys, for the id alone. The package uses only
-// the standard library, so the router links no engine code.
+// caller's wanted set, and writes it into that key's slot of a
+// caller-supplied []float64, so a line's values cost no map; every
+// other value gets its syntax and range check and is skipped. vqserve
+// scans against its model's plan keys, vqroute with no wanted keys, for
+// the id alone. The package uses only the standard library, so the
+// router links no engine code.
 //
 // A wide row is mostly keys and numbers nobody reads, so the scanner
 // steps over string and digit runs a machine word at a time, two
@@ -35,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"strconv"
 	"unicode/utf16"
@@ -45,13 +48,13 @@ import (
 const maxDepth = 10000
 
 // Keys is the set of feature names whose values Scan parses; a nil
-// *Keys holds none.
+// *Keys holds none. Each name has a slot: NewKeys numbers the distinct
+// names 0, 1, … in order of first appearance.
 type Keys struct {
-	// names maps each name to itself, so a hit yields the set's own
-	// string and storing the value allocates no key.
-	names map[string]string
+	// slots maps each name to its slot.
+	slots map[string]int
 	// filter has bit keyHash(name) set for every name. A key whose bit
-	// is clear is not in the set, and is not hashed through names.
+	// is clear is not in the set, and is not hashed through slots.
 	filter [filterBits / 64]uint64
 }
 
@@ -62,27 +65,41 @@ const (
 	filterBits = 1 << filterLog
 )
 
-// NewKeys returns the set of the given names.
+// NewKeys returns the set of the given names; a repeated name keeps
+// its first slot.
 func NewKeys(names ...string) *Keys {
-	k := &Keys{names: make(map[string]string, len(names))}
+	k := &Keys{slots: make(map[string]int, len(names))}
 	for _, n := range names {
-		k.names[n] = n
+		if _, dup := k.slots[n]; dup {
+			continue
+		}
+		k.slots[n] = len(k.slots)
 		h := keyHash([]byte(n))
 		k.filter[h/64] |= 1 << (h % 64)
 	}
 	return k
 }
 
-// lookup returns the set's own string for key, if key is in the set.
-func (k *Keys) lookup(key []byte) (string, bool) {
+// Len returns the number of slots, the length Scan needs of vals.
+func (k *Keys) Len() int {
 	if k == nil {
-		return "", false
+		return 0
+	}
+	return len(k.slots)
+}
+
+// lookup returns key's slot, or -1 when key is not in the set.
+func (k *Keys) lookup(key []byte) int {
+	if k == nil {
+		return -1
 	}
 	if h := keyHash(key); k.filter[h/64]&(1<<(h%64)) == 0 {
-		return "", false
+		return -1
 	}
-	name, ok := k.names[string(key)]
-	return name, ok
+	if slot, ok := k.slots[string(key)]; ok {
+		return slot
+	}
+	return -1
 }
 
 // keyHash is the filter's hash of a key: its length and its first and
@@ -103,13 +120,11 @@ func keyHash(key []byte) uint {
 	return uint(h >> (64 - filterLog))
 }
 
-// Request is one scanned line.
+// Request is one scanned line; its feature values are in the vals
+// passed to Scan.
 type Request struct {
-	ID string
-	// Features holds the line's values of wanted keys; nil when it
-	// carries none.
-	Features map[string]float64
-	Explain  bool
+	ID      string
+	Explain bool
 }
 
 var (
@@ -118,10 +133,19 @@ var (
 	fieldExplain  = []byte("explain")
 )
 
-// Scan reads one request line, parsing the features named in keys (nil
-// parses none). The error says what is wrong and at which byte.
-func Scan(line []byte, keys *Keys) (Request, error) {
-	s := scanner{b: line, keys: keys}
+// absent fills the slot of a wanted key the line does not carry. No
+// decoded value is NaN: JSON has no NaN, and a number beyond float64's
+// range rejects the line.
+var absent = math.NaN()
+
+// Scan reads one request line, writing the value of each wanted key it
+// carries into vals at the key's slot and NaN into every other slot;
+// vals must hold at least keys.Len() slots, and nil keys parse none.
+// On an error vals holds no meaning. The error says what is wrong and
+// at which byte.
+func Scan(line []byte, keys *Keys, vals []float64) (Request, error) {
+	s := scanner{b: line, keys: keys, vals: vals[:keys.Len()]}
+	s.reset()
 	var r Request
 	s.i = ws(s.b, s.i)
 	var err error
@@ -152,7 +176,15 @@ type scanner struct {
 	b    []byte
 	i    int
 	keys *Keys
-	tmp  []byte // unescaped key or id, when the raw text has escapes or non-ASCII bytes
+	vals []float64 // one slot per wanted key
+	tmp  []byte    // unescaped key or id, when the raw text has escapes or non-ASCII bytes
+}
+
+// reset marks every wanted key absent.
+func (s *scanner) reset() {
+	for i := range s.vals {
+		s.vals[i] = absent
+	}
 }
 
 func (s *scanner) peek() byte { return at(s.b, s.i) }
@@ -243,7 +275,7 @@ func (s *scanner) object(r *Request) error {
 		s.i = i
 		switch {
 		case bytes.EqualFold(key, fieldFeatures):
-			err = s.features(r)
+			err = s.features()
 		case bytes.EqualFold(key, fieldID):
 			err = s.id(r)
 		case bytes.EqualFold(key, fieldExplain):
@@ -287,12 +319,13 @@ func (s *scanner) key(i int) (key []byte, val int, err error) {
 	return s.text(raw, plain), ws(b, i+1), nil
 }
 
-// features reads the "features" value: an object merges into the
-// request's map, null drops it.
-func (s *scanner) features(r *Request) error {
+// features reads the "features" value: an object's wanted keys fill
+// their slots, over what an earlier object left; null empties every
+// slot.
+func (s *scanner) features() error {
 	switch s.peek() {
 	case 'n':
-		r.Features = nil
+		s.reset()
 		return s.literal("null")
 	case '{':
 	default:
@@ -309,7 +342,8 @@ func (s *scanner) features(r *Request) error {
 		if err != nil {
 			return err
 		}
-		name, want := s.keys.lookup(key)
+		slot := s.keys.lookup(key)
+		want := slot >= 0
 		v := 0.0 // null stores 0, as encoding/json does
 		switch c := at(b, j); {
 		case c == '-' || c-'0' < 10:
@@ -337,10 +371,7 @@ func (s *scanner) features(r *Request) error {
 			return s.mismatch(fmt.Sprintf("feature %q", key), "a number")
 		}
 		if want {
-			if r.Features == nil {
-				r.Features = make(map[string]float64, len(s.keys.names))
-			}
-			r.Features[name] = v
+			s.vals[slot] = v
 		}
 		var done bool
 		if i, done, err = s.next(j, '}'); done || err != nil {

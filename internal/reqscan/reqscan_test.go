@@ -3,6 +3,7 @@ package reqscan_test
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,29 +138,34 @@ func deep(n int) string {
 
 // wanted is the fuzz target's wanted set: fixed names plus every other
 // key of the line's own features, so each line has wanted and
-// unwanted keys.
-func wanted(features map[string]float64) map[string]bool {
-	names := map[string]bool{"mobile.rtt": true, "mobile.loss": true, "K": true, "a": true}
+// unwanted keys. The names are distinct, so names[i] has slot i.
+func wanted(features map[string]float64) []string {
+	names := []string{"mobile.rtt", "mobile.loss", "K", "a"}
+	extra := make([]string, 0, len(features))
 	for k := range features {
-		if len(k)%2 == 0 {
-			names[k] = true
+		if len(k)%2 == 0 && !slices.Contains(names, k) {
+			extra = append(extra, k)
 		}
 	}
-	return names
+	slices.Sort(extra)
+	return append(names, extra...)
 }
 
 // checkParity scans line and fails t unless the scanner and
-// encoding/json agree on it.
+// encoding/json agree on it: the same verdict, id and explain, and
+// slot by slot the same value, bit for bit, with a key encoding/json
+// did not store read as NaN. The slots start dirty, so a slot Scan
+// failed to reset shows.
 func checkParity(t *testing.T, line []byte) {
 	t.Helper()
 	var want serve.Request
 	errJ := json.Unmarshal(line, &want)
-	keys := wanted(want.Features)
-	names := make([]string, 0, len(keys))
-	for k := range keys {
-		names = append(names, k)
+	names := wanted(want.Features)
+	vals := make([]float64, len(names))
+	for i := range vals {
+		vals[i] = 42
 	}
-	got, errS := reqscan.Scan(line, reqscan.NewKeys(names...))
+	got, errS := reqscan.Scan(line, reqscan.NewKeys(names...), vals)
 	if (errJ == nil) != (errS == nil) {
 		t.Fatalf("%q: encoding/json error %v, scanner error %v", trim(line), errJ, errS)
 	}
@@ -169,16 +175,14 @@ func checkParity(t *testing.T, line []byte) {
 	if got.ID != want.ID || got.Explain != want.Explain {
 		t.Fatalf("%q: scanned id %q explain %v, encoding/json %q %v", trim(line), got.ID, got.Explain, want.ID, want.Explain)
 	}
-	for k := range keys {
+	for slot, k := range names {
 		vj, okj := want.Features[k]
-		vs, oks := got.Features[k]
-		if okj != oks || math.Float64bits(vj) != math.Float64bits(vs) {
-			t.Fatalf("%q: feature %q scanned (%v, %v), encoding/json (%v, %v)", trim(line), k, vs, oks, vj, okj)
+		vs := vals[slot]
+		if math.IsInf(vs, 0) {
+			t.Fatalf("%q: feature %q decoded to %v; a decoded row carries no non-finite value", trim(line), k, vs)
 		}
-	}
-	for k := range got.Features {
-		if !keys[k] {
-			t.Fatalf("%q: unwanted feature %q in the scanned map", trim(line), k)
+		if oks := !math.IsNaN(vs); okj != oks || oks && math.Float64bits(vj) != math.Float64bits(vs) {
+			t.Fatalf("%q: feature %q scanned (%v, %v), encoding/json (%v, %v)", trim(line), k, vs, oks, vj, okj)
 		}
 	}
 }
@@ -199,20 +203,35 @@ func TestScanParity(t *testing.T) {
 	}
 }
 
+// scanned is a scanned line's wanted values by name; an absent key
+// (NaN slot) has none.
+func scanned(names []string, vals []float64) map[string]float64 {
+	out := map[string]float64{}
+	for slot, n := range names {
+		if !math.IsNaN(vals[slot]) {
+			out[n] = vals[slot]
+		}
+	}
+	return out
+}
+
 // TestScanValues pins what the parity cases read, beyond agreeing
 // with encoding/json.
 func TestScanValues(t *testing.T) {
-	keys := reqscan.NewKeys("mobile.rtt", "mobile.loss")
+	names := []string{"mobile.rtt", "mobile.loss"}
+	keys := reqscan.NewKeys(names...)
+	vals := make([]float64, keys.Len())
 	for _, tc := range []struct {
 		line    string
 		id      string
 		explain bool
-		feats   map[string]float64 // nil: no wanted key present
+		feats   map[string]float64 // wanted keys present
 	}{
 		{line: `{"ID":"x","Explain":true,"FEATURES":{"mobile.rtt":3}}`, id: "x", explain: true, feats: map[string]float64{"mobile.rtt": 3}},
 		{line: `{"featureſ":{"mobile.rtt":1}}`, feats: map[string]float64{"mobile.rtt": 1}},
 		{line: `{"features":{"mobile.rtt":1},"features":{"mobile.loss":2}}`, feats: map[string]float64{"mobile.rtt": 1, "mobile.loss": 2}},
 		{line: `{"features":{"mobile.rtt":1},"features":null}`},
+		{line: `{"features":{"mobile.rtt":1},"features":null,"features":{"mobile.loss":2}}`, feats: map[string]float64{"mobile.loss": 2}},
 		{line: `{"features":{"mobile.rtt":1,"mobile.rtt":2,"other":9}}`, feats: map[string]float64{"mobile.rtt": 2}},
 		{line: `{"features":{"mobile.rtt":null}}`, feats: map[string]float64{"mobile.rtt": 0}},
 		{line: `{"features":{"mobile.rtt":7}}`, feats: map[string]float64{"mobile.rtt": 7}},
@@ -222,36 +241,56 @@ func TestScanValues(t *testing.T) {
 		{line: "{\"id\":\"\xff\"}", id: "�"},
 		{line: `null`},
 	} {
-		got, err := reqscan.Scan([]byte(tc.line), keys)
+		got, err := reqscan.Scan([]byte(tc.line), keys, vals)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.line, err)
 		}
-		if got.ID != tc.id || got.Explain != tc.explain || len(got.Features) != len(tc.feats) {
-			t.Fatalf("%s: got %+v", tc.line, got)
+		feats := scanned(names, vals)
+		if got.ID != tc.id || got.Explain != tc.explain || len(feats) != len(tc.feats) {
+			t.Fatalf("%s: got %+v %v", tc.line, got, feats)
 		}
 		for k, v := range tc.feats {
-			if got.Features[k] != v {
-				t.Fatalf("%s: feature %q = %v, want %v", tc.line, k, got.Features[k], v)
+			if feats[k] != v {
+				t.Fatalf("%s: feature %q = %v, want %v", tc.line, k, feats[k], v)
 			}
 		}
 	}
-	got, err := reqscan.Scan([]byte(`{"features":{"mobile.rtt":-0}}`), keys)
-	if err != nil || !math.Signbit(got.Features["mobile.rtt"]) {
-		t.Fatalf("-0 lost its sign: %+v %v", got, err)
+	if _, err := reqscan.Scan([]byte(`{"features":{"mobile.rtt":-0}}`), keys, vals); err != nil || !math.Signbit(vals[0]) {
+		t.Fatalf("-0 lost its sign: %v %v", vals, err)
 	}
-	if _, err := reqscan.Scan([]byte(`{"features":{"other":1e400}}`), keys); err == nil {
+	if _, err := reqscan.Scan([]byte(`{"features":{"other":1e400}}`), keys, vals); err == nil {
 		t.Fatal("1e400 on an unwanted key was accepted")
 	}
-	// The router's mode: no wanted keys, no map.
-	got, err = reqscan.Scan([]byte(`{"id":"s1","features":{"mobile.rtt":50}}`), nil)
-	if err != nil || got.ID != "s1" || got.Features != nil {
+	// The router's mode: no wanted keys, no slots.
+	got, err := reqscan.Scan([]byte(`{"id":"s1","features":{"mobile.rtt":50}}`), nil, nil)
+	if err != nil || got.ID != "s1" {
 		t.Fatalf("id-only scan: %+v %v", got, err)
+	}
+}
+
+// TestKeysSlots pins the slot layout callers index by: distinct names
+// in order of first appearance.
+func TestKeysSlots(t *testing.T) {
+	keys := reqscan.NewKeys("b", "a", "b", "c", "a")
+	if keys.Len() != 3 {
+		t.Fatalf("Len %d, want 3 distinct names", keys.Len())
+	}
+	vals := make([]float64, keys.Len())
+	if _, err := reqscan.Scan([]byte(`{"features":{"a":1,"b":2,"c":3}}`), keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if vals[0] != 2 || vals[1] != 1 || vals[2] != 3 {
+		t.Fatalf("slots %v, want [2 1 3] (b, a, c)", vals)
+	}
+	var none *reqscan.Keys
+	if none.Len() != 0 {
+		t.Fatal("a nil set has slots")
 	}
 }
 
 // TestScanFilterTwin scans an unwanted key whose filter bit is a wanted
 // key's: the filter lets it through, and the exact lookup behind the
-// filter must still keep it out of the scanned map.
+// filter must still keep it out of every slot.
 func TestScanFilterTwin(t *testing.T) {
 	keys := reqscan.NewKeys("mobile.rtt")
 	twin := reqscan.FilterTwin("mobile.rtt")
@@ -259,15 +298,21 @@ func TestScanFilterTwin(t *testing.T) {
 		t.Fatalf("twin %q of mobile.rtt does not share its filter bit", twin)
 	}
 	line := []byte(`{"features":{"` + twin + `":1,"mobile.rtt":2}}`)
-	got, err := reqscan.Scan(line, keys)
-	if err != nil || len(got.Features) != 1 || got.Features["mobile.rtt"] != 2 {
-		t.Fatalf("%s: got %+v %v, want only mobile.rtt = 2", line, got, err)
+	vals := make([]float64, 1)
+	got, err := reqscan.Scan(line, keys, vals)
+	if err != nil || vals[0] != 2 {
+		t.Fatalf("%s: got %+v %v %v, want mobile.rtt = 2", line, got, vals, err)
+	}
+	line = []byte(`{"features":{"` + twin + `":1}}`)
+	if _, err := reqscan.Scan(line, keys, vals); err != nil || !math.IsNaN(vals[0]) {
+		t.Fatalf("%s: mobile.rtt slot %v %v, want absent", line, vals, err)
 	}
 	checkParity(t, line)
 }
 
 // TestScanAllocs pins the point of the scanner: a row's unwanted keys
-// cost no allocation.
+// cost no allocation, and its wanted values land in the caller's slots,
+// so the id is a scan's one allocation.
 func TestScanAllocs(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(`{"id":"session-1","features":{`)
@@ -279,19 +324,20 @@ func TestScanAllocs(t *testing.T) {
 	}
 	b.WriteString(`,"mobile.rtt":50}}`)
 	line := []byte(b.String())
-	keys := reqscan.NewKeys("mobile.rtt")
-	if n := testing.AllocsPerRun(20, func() { reqscan.Scan(line, keys) }); n > 3 {
-		t.Fatalf("%v allocs per wide row, want at most 3 (id, map, map table)", n)
+	keys := reqscan.NewKeys("mobile.rtt", "vp.feature_a", "vp.feature_xb")
+	vals := make([]float64, keys.Len())
+	if n := testing.AllocsPerRun(20, func() { reqscan.Scan(line, keys, vals) }); n > 1 {
+		t.Fatalf("%v allocs per wide row, want at most 1 (id)", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { reqscan.Scan(line, nil) }); n > 1 {
+	if n := testing.AllocsPerRun(20, func() { reqscan.Scan(line, nil, nil) }); n > 1 {
 		t.Fatalf("%v allocs per id-only scan, want at most 1 (id)", n)
 	}
 }
 
 // FuzzScanLine checks the scanner against encoding/json on arbitrary
 // lines: they must accept and reject the same lines, read the same id
-// and explain, and agree bit for bit on every wanted feature, and no
-// unwanted key may reach the scanned map.
+// and explain, and agree slot by slot, bit for bit, on every wanted
+// feature, an absent one read as NaN; no slot may hold ±Inf.
 func FuzzScanLine(f *testing.F) {
 	for _, l := range parityLines {
 		f.Add([]byte(l))

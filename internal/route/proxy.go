@@ -160,7 +160,7 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		// rejects would fail at the replica too, and answering it here
 		// keeps true input line numbers, which sub-batches would
 		// otherwise renumber.
-		hdr, err := reqscan.Scan(line, nil)
+		hdr, err := reqscan.Scan(line, nil, nil)
 		if err != nil {
 			results = append(results, errLine("", fmt.Sprintf("line %d: %v", lineno, err)))
 			continue

@@ -351,3 +351,20 @@ func grepLines(body, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// TestDiagnoseBatchAllocs bounds a 100-row batch's allocations by far
+// fewer than one per row: the results slice and a few fixed costs. A
+// per-row closure (a method value made inside the submit loop) would
+// add a hundred.
+func TestDiagnoseBatchAllocs(t *testing.T) {
+	e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 1, MaxBatch: 32})
+	defer e.Close()
+	reqs := make([]Request, 100)
+	for i := range reqs {
+		reqs[i] = Request{ID: "s" + string(rune('a'+i%26)), Features: fv(float64(10+i), float64(i%10))}
+	}
+	e.DiagnoseBatch(reqs) // warm the worker's scratch
+	if n := testing.AllocsPerRun(20, func() { e.DiagnoseBatch(reqs) }); n > 10 {
+		t.Fatalf("%v allocs per 100-row DiagnoseBatch, want at most 10", n)
+	}
+}

@@ -38,14 +38,18 @@ type Model struct {
 	// explain path needs the recorded traversal, which an ensemble vote
 	// does not have. Nil for forest models.
 	tree *c45.CompiledTree
-	// plan holds, per schema row, the feature name and its construction
-	// transform, so normalization touches only the features the model
-	// consults instead of scanning the full raw vector.
+	// plan holds, per schema row, the slots of its feature and divisor
+	// and its construction transform, so normalization touches only the
+	// features the model consults instead of scanning the full raw
+	// vector.
 	plan []rowPlan
-	// keys are the raw features fillRow reads: the plan's names and
-	// their divisors. /diagnose decodes only these.
-	keys *reqscan.Keys
-	info ModelInfo
+	// names are the raw features fillRow reads, the plan's names and
+	// their divisors, one per slot: a row's raw values sit in a
+	// []float64 of len(names), NaN where absent. keys is the same set
+	// for /diagnose, which decodes only these, straight into slots.
+	names []string
+	keys  *reqscan.Keys
+	info  ModelInfo
 }
 
 // ModelInfo describes the serving snapshot for /healthz and the
@@ -66,8 +70,8 @@ type ModelInfo struct {
 
 // rowPlan is the precomputed normalization of one schema row.
 type rowPlan struct {
-	name    string
-	divisor string // per-instance divisor feature, "" for none
+	slot    int // the feature's raw value slot
+	divisor int // slot of the per-instance divisor feature, -1 for none
 	scale   float64
 	dropped bool
 }
@@ -92,16 +96,25 @@ func NewBatchModel(task string, norm *features.Normalizer, bp c45.BatchPredictor
 		kind = "tree"
 	}
 	m.info = ModelInfo{Kind: kind, Trees: bp.Trees(), Nodes: bp.Nodes()}
-	var keys []string
+	slots := map[string]int{}
+	slot := func(name string) int {
+		i, ok := slots[name]
+		if !ok {
+			i = len(m.names)
+			slots[name] = i
+			m.names = append(m.names, name)
+		}
+		return i
+	}
 	for _, f := range bp.Schema() {
 		p := norm.Plan(f)
-		m.plan = append(m.plan, rowPlan{name: f, divisor: p.Divisor, scale: p.Scale, dropped: p.Dropped})
-		keys = append(keys, f)
+		rp := rowPlan{slot: slot(f), divisor: -1, scale: p.Scale, dropped: p.Dropped}
 		if p.Divisor != "" {
-			keys = append(keys, p.Divisor)
+			rp.divisor = slot(p.Divisor)
 		}
+		m.plan = append(m.plan, rp)
 	}
-	m.keys = reqscan.NewKeys(keys...)
+	m.keys = reqscan.NewKeys(m.names...) // distinct, so slot i is names[i]
 	return m
 }
 
@@ -117,30 +130,52 @@ func (m *Model) SetProvenance(hash string, load time.Duration) {
 // Info returns the snapshot's descriptive summary.
 func (m *Model) Info() ModelInfo { return m.info }
 
-// fillRow normalizes the raw vector directly into schema row form,
-// bit-identical to Normalizer.ApplyVector followed by
-// CompiledTree.FillRow but touching only schema features. Reading
-// divisors from the raw vector is safe because divisor features
-// (tcp_total_*, tcp_duration_s) are never themselves scaled, dropped
-// or ratio-normalized by construction.
-func (m *Model) fillRow(raw metrics.Vector, row []float64) {
+// gather lays a raw feature map out in the model's slots, NaN where a
+// feature is absent, as /diagnose decodes a line. A NaN in fv reads as
+// absent; fillRow makes both ml.Missing.
+func (m *Model) gather(fv map[string]float64, vals []float64) {
+	for i, name := range m.names {
+		v, ok := fv[name]
+		if !ok {
+			v = math.NaN()
+		}
+		vals[i] = v
+	}
+}
+
+// fillRow normalizes a row's raw slot values (NaN = absent) directly
+// into schema row form, bit-identical to Normalizer.ApplyVector
+// followed by CompiledTree.FillRow but touching only schema features.
+// Reading divisors from the raw values is safe because divisor
+// features (tcp_total_*, tcp_duration_s) are never themselves scaled,
+// dropped or ratio-normalized by construction.
+func (m *Model) fillRow(vals, row []float64) {
 	for i := range m.plan {
 		p := &m.plan[i]
-		v, ok := raw[p.name]
-		if !ok || p.dropped {
+		v := vals[p.slot]
+		if p.dropped || math.IsNaN(v) {
 			row[i] = ml.Missing
 			continue
 		}
 		if p.scale > 0 {
 			v = v / p.scale
 		}
-		if p.divisor != "" {
-			if tot := raw[p.divisor]; tot > 0 {
+		if p.divisor >= 0 {
+			if tot := vals[p.divisor]; tot > 0 { // false for an absent (NaN) divisor
 				v = v / tot
 			}
 		}
 		row[i] = v
 	}
+}
+
+// rowOf normalizes a raw feature map into a fresh schema row.
+func (m *Model) rowOf(fv metrics.Vector) []float64 {
+	buf := make([]float64, len(m.names)+len(m.plan))
+	vals, row := buf[:len(m.names)], buf[len(m.names):]
+	m.gather(fv, vals)
+	m.fillRow(vals, row)
+	return row
 }
 
 // Task returns the diagnosis task the model was trained for.
@@ -158,9 +193,7 @@ func (m *Model) Predictor() c45.BatchPredictor { return m.bp }
 // Diagnose classifies one raw (un-normalized) feature vector
 // synchronously, bypassing the ingest pipeline.
 func (m *Model) Diagnose(fv metrics.Vector) Result {
-	row := make([]float64, len(m.plan))
-	m.fillRow(fv, row)
-	cls := m.bp.PredictRow(row)
+	cls := m.bp.PredictRow(m.rowOf(fv))
 	sev, cause := ParseClass(cls)
 	return Result{Class: cls, Severity: sev, Cause: cause}
 }
@@ -178,9 +211,7 @@ func (m *Model) DiagnoseExplain(fv metrics.Vector) Result {
 	if m.tree == nil {
 		return Result{Err: errExplainForest}
 	}
-	row := make([]float64, len(m.plan))
-	m.fillRow(fv, row)
-	exp := m.tree.PredictRowExplain(row)
+	exp := m.tree.PredictRowExplain(m.rowOf(fv))
 	sev, cause := ParseClass(exp.Class)
 	return Result{Class: exp.Class, Severity: sev, Cause: cause, Explain: exp, Rule: exp.Rule()}
 }
@@ -306,12 +337,15 @@ type Request struct {
 	Explain bool `json:"explain,omitempty"`
 
 	// decodedBy, set by the /diagnose handler, is the snapshot whose
-	// keys chose which features were decoded. The worker classifies
-	// the request against it, never against a later snapshot that may
-	// read keys the decode skipped. Nil for callers that pass full
-	// feature maps: they get the snapshot current when their batch is
-	// drained.
+	// keys chose which features were decoded, and vals the decoded
+	// values in that snapshot's slots (Model.names), cut from the
+	// body's pooled slab; Features is nil. The worker classifies the
+	// request against decodedBy, never against a later snapshot whose
+	// slots differ or that reads keys the decode skipped. decodedBy is
+	// nil for callers that pass feature maps: they get the snapshot
+	// current when their batch is drained.
 	decodedBy *snapshotRef
+	vals      []float64
 }
 
 // snapshotRef pins one snapshot for the requests of one /diagnose body;
@@ -593,10 +627,11 @@ func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 	e.obs.inflight.Add(float64(len(reqs)))
 	defer e.obs.inflight.Add(-float64(len(reqs)))
 	var wg sync.WaitGroup
-	var shed []int // indices still waiting on queue space
+	done := wg.Done // one method value for every row, not a closure per row
+	var shed []int  // indices still waiting on queue space
 	for i := range reqs {
 		wg.Add(1)
-		err := e.Submit(reqs[i], &res[i], wg.Done)
+		err := e.Submit(reqs[i], &res[i], done)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrOverloaded) && e.cfg.RetryMax > 0:
@@ -612,7 +647,7 @@ func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 		remaining := shed[:0]
 		for _, i := range shed {
 			e.obs.retries.Inc()
-			err := e.Submit(reqs[i], &res[i], wg.Done)
+			err := e.Submit(reqs[i], &res[i], done)
 			switch {
 			case err == nil:
 			case errors.Is(err, ErrOverloaded):

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,6 +21,22 @@ const maxLine = 1 << 20
 // keeps a slice of one past its request: the scanner copies out the id
 // and the values it reads.
 var lineBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
+
+// slabs holds the per-body []float64 every decoded line's value slots
+// are cut from, and outBufs the buffer answers are encoded into. Each
+// goes back only after the body's batch has been answered: the
+// workers read a row's slots before they complete its job.
+var (
+	slabs   = sync.Pool{New: func() any { return new([]float64) }}
+	outBufs = sync.Pool{New: func() any { b := make([]byte, 0, flushAt+4096); return &b }}
+)
+
+// maxPooledSlab caps the slab kept for reuse (512 KiB); a rarer, larger
+// body's slab is left to the collector.
+const maxPooledSlab = 1 << 16
+
+// flushAt is the encoded size at which /diagnose writes its buffer out.
+const flushAt = 32 << 10
 
 // Handler returns the engine's HTTP surface:
 //
@@ -100,18 +117,27 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 
 	// Decode every line first so one malformed line fails fast with a
 	// per-line error instead of poisoning the whole batch. Each line is
-	// scanned once for the features the current snapshot reads, and
-	// every request is bound to that snapshot (see Request.decodedBy).
+	// scanned once for the features the current snapshot reads, into
+	// that snapshot's slots, and every request is bound to it (see
+	// Request.decodedBy).
 	snap := &snapshotRef{m: e.model.Load()}
 	var keys *reqscan.Keys
 	if snap.m != nil {
 		keys = snap.m.keys
 	}
+	width := keys.Len()
+	slab := slabs.Get().(*[]float64)
+	vals := (*slab)[:0]
+	defer func() {
+		if cap(vals) <= maxPooledSlab {
+			*slab = vals[:0]
+			slabs.Put(slab)
+		}
+	}()
 	var (
-		results []Result
-		reqs    []Request
-		slots   []int // result index per submitted request
-		lineno  int   // true input line number, blank lines included
+		reqs   []Request
+		bad    []lineError
+		lineno int // true input line number, blank lines included
 	)
 	for sc.Scan() {
 		lineno++
@@ -119,26 +145,30 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		req, err := reqscan.Scan(line, keys)
+		n := len(vals)
+		vals = slices.Grow(vals, width)[:n+width]
+		req, err := reqscan.Scan(line, keys, vals[n:])
 		if err != nil {
-			results = append(results, Result{Err: fmt.Sprintf("line %d: %v", lineno, err)})
+			vals = vals[:n]
+			bad = append(bad, lineError{before: len(reqs), msg: fmt.Sprintf("line %d: %v", lineno, err)})
 			continue
 		}
-		slots = append(slots, len(results))
-		results = append(results, Result{})
-		reqs = append(reqs, Request{ID: req.ID, Features: req.Features, Explain: req.Explain, decodedBy: snap})
+		reqs = append(reqs, Request{ID: req.ID, Explain: req.Explain, decodedBy: snap})
 	}
 	if err := sc.Err(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(results) == 0 {
+	if len(reqs)+len(bad) == 0 {
 		http.Error(w, "empty request body", http.StatusBadRequest)
 		return
 	}
-	for i, res := range e.DiagnoseBatch(reqs) {
-		results[slots[i]] = res
+	// The slab has stopped growing: the k-th request's slots are its
+	// k-th run of width values.
+	for k := range reqs {
+		reqs[k].vals = vals[k*width : (k+1)*width : (k+1)*width]
 	}
+	res := e.DiagnoseBatch(reqs)
 	// The client may have hung up while the batch was in flight (the
 	// server cancels the request context on disconnect). The engine
 	// work is already done and accounted — results are simply not worth
@@ -147,14 +177,45 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := range results {
-		// A write error means the client went away; stop encoding the
-		// rest of the batch instead of churning through a dead socket.
-		if err := enc.Encode(&results[i]); err != nil {
+	out := outBufs.Get().(*[]byte)
+	defer outBufs.Put(out)
+	b := (*out)[:0]
+	defer func() { *out = b[:0] }()
+	// put encodes one answer, writing the buffer out once it is large.
+	// It reports false once the answer must stop: a write error means
+	// the client went away, and a result that cannot be encoded ends
+	// the answer after the ones before it, with no half-written line.
+	put := func(r *Result) bool {
+		var err error
+		if b, err = appendResult(b, r); err == nil && len(b) < flushAt {
+			return true
+		}
+		if _, werr := w.Write(b); werr != nil || err != nil {
+			return false
+		}
+		b = b[:0]
+		return true
+	}
+	// Answers go out in input order: a rejected line's error before
+	// the answer of the first request after it.
+	for i := 0; i <= len(res); i++ {
+		for ; len(bad) > 0 && bad[0].before == i; bad = bad[1:] {
+			if !put(&Result{Err: bad[0].msg}) {
+				return
+			}
+		}
+		if i < len(res) && !put(&res[i]) {
 			return
 		}
 	}
+	_, _ = w.Write(b) // an error means the client went away; there is no one to tell
+}
+
+// lineError is a /diagnose line the scanner rejected, answered in its
+// place among the requests: before the one with index before.
+type lineError struct {
+	before int
+	msg    string
 }
 
 func (e *Engine) handleReload(w http.ResponseWriter, r *http.Request) {

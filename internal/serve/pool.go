@@ -54,6 +54,7 @@ type batchScratch struct {
 	mat   *c45.Matrix
 	bs    c45.BatchScratch
 	idx   []int32
+	vals  []float64 // a feature-map request's raw values, in the model's slots
 	row   []float64 // schema row: prep stages into it, explain rows are read back into it
 
 	snaps []*Model // distinct snapshots of the batch being processed
@@ -142,6 +143,7 @@ func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, dequeued ti
 			// and per sweep while a drain straddles one.
 			ws.model = m
 			ws.mat = m.bp.NewMatrix(cap(batch))
+			ws.vals = make([]float64, len(m.names))
 			ws.row = make([]float64, len(m.plan))
 		}
 		ws.mat.Reset()
@@ -199,10 +201,14 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 		fail(fmt.Sprintf("request timed out after %v in queue (limit %v)", queueD, d))
 		return
 	}
-	if err := ValidateFeatures(j.req.Features); err != nil {
-		e.obs.invalid.Inc()
-		fail(err.Error())
-		return
+	// A decoded row carries no non-finite value (reqscan), only NaN for
+	// an absent key; a caller's map is checked here.
+	if j.req.decodedBy == nil {
+		if err := ValidateFeatures(j.req.Features); err != nil {
+			e.obs.invalid.Inc()
+			fail(err.Error())
+			return
+		}
 	}
 	if f := e.cfg.InjectFault; f != nil {
 		if err := f(&j.req); err != nil {
@@ -216,7 +222,12 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 	}
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	t0 := time.Now()
-	m.fillRow(metrics.Vector(j.req.Features), ws.row)
+	vals := j.req.vals
+	if j.req.decodedBy == nil {
+		m.gather(j.req.Features, ws.vals)
+		vals = ws.vals
+	}
+	m.fillRow(vals, ws.row)
 	ws.mat.AppendRowValues(ws.row)
 	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
 	ws.normD = append(ws.normD, time.Since(t0))

@@ -67,7 +67,8 @@ func fv(rtt, loss float64) map[string]float64 {
 // TestFillRowMatchesApplyVector pins the serving fast path: the sparse
 // per-plan normalization must be bit-identical to running the full
 // Normalizer.ApplyVector and then predicting, across max-scaled
-// features, ratio-normalized tcp counters, and missing values.
+// features, ratio-normalized tcp counters, and missing values, both
+// for feature maps and for rows /diagnose decodes into slots.
 func TestFillRowMatchesApplyVector(t *testing.T) {
 	var insts []ml.Instance
 	rng := rand.New(rand.NewSource(5))
@@ -97,6 +98,8 @@ func TestFillRowMatchesApplyVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := NewModel("exact", norm, ct)
+	var body bytes.Buffer
+	var wants []string
 	for i := 0; i < 500; i++ {
 		fv := mk()
 		// Randomly drop keys to exercise missing values (including the
@@ -109,6 +112,26 @@ func TestFillRowMatchesApplyVector(t *testing.T) {
 		want := ct.PredictRow(ct.RowFromVector(norm.ApplyVector(fv)))
 		if got := m.Diagnose(fv).Class; got != want {
 			t.Fatalf("vector %d: fast path %q, full path %q (fv=%v)", i, got, want, fv)
+		}
+		line, err := json.Marshal(Request{ID: fmt.Sprint(i), Features: fv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(append(line, '\n'))
+		wants = append(wants, want)
+	}
+	e := NewEngine(m, Config{Shards: 2})
+	defer e.Close()
+	rec := httptest.NewRecorder()
+	e.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", &body))
+	dec := json.NewDecoder(rec.Body)
+	for i, want := range wants {
+		var got Result
+		if err := dec.Decode(&got); err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+		if got.Class != want {
+			t.Fatalf("decoded row %d: %+v, full path %q", i, got, want)
 		}
 	}
 }

@@ -24,7 +24,9 @@
 # batch whose sticky replica rejects it (docs/ROUTING.md). The decode
 # set times the /diagnose line scanner on one row per iteration: a
 # bulk-wide row (358 features, 10 read) and a bulk-narrow one (the 10
-# alone).
+# alone). The handler set (serve.http) times one in-process /diagnose
+# body per iteration, decode, engine and encode included: 8 wide rows
+# or 100 narrow ones, with ns/row beside ns/op.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +36,7 @@ INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPr
 LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
 SCAN_BENCHES='BenchmarkScanWide|BenchmarkScanNarrow'
+HANDLER_BENCHES='BenchmarkDiagnoseHandlerWide|BenchmarkDiagnoseHandlerNarrow'
 BASELINE=reports/BENCH.json
 MODE="${1:-run}"
 
@@ -61,13 +64,18 @@ run_scan_bench() { # $1: -benchtime value (duration-based: one iteration = one r
   go test -run '^$' -bench "^(${SCAN_BENCHES})\$" -benchmem -benchtime "$1" ./internal/reqscan/
 }
 
-run_all() { # $1 training, $2 fleet, $3 inference, $4 router and decode -benchtime; stops at the first failure
+run_handler_bench() { # $1: -benchtime value (duration-based: one iteration = one body, ~0.1 ms)
+  go test -run '^$' -bench "^(${HANDLER_BENCHES})\$" -benchmem -benchtime "$1" ./internal/serve/
+}
+
+run_all() { # $1 training, $2 fleet, $3 inference, $4 router, decode and handler -benchtime; stops at the first failure
   run_bench "$1" &&
     run_fleet_bench "$2" &&
     run_infer_bench "$3" &&
     run_lint_bench &&
     run_route_bench "$4" &&
-    run_scan_bench "$4"
+    run_scan_bench "$4" &&
+    run_handler_bench "$4"
 }
 
 case "$MODE" in
