@@ -12,7 +12,8 @@ import (
 
 // oracleBody is one /diagnose body of every kind of line a client
 // sends: plain rows, explained rows, rows missing features, ids that
-// need escaping, malformed lines and blank lines.
+// need escaping, malformed lines, blank lines, CRLF-terminated rows and
+// lines holding only a CR (blank, as bufio.ScanLines reads them).
 func oracleBody() string {
 	var b strings.Builder
 	for i := 0; i < 40; i++ {
@@ -22,8 +23,10 @@ func oracleBody() string {
 			fmt.Fprintf(&b, `{"id":"explain-%d","explain":true,"features":{"mobile.rtt":%g,"mobile.loss":%g}}`+"\n", i, rtt, loss)
 		case 5:
 			fmt.Fprintf(&b, `{"id":"<s%d>&\u2028","features":{"mobile.rtt":%g}}`+"\n", i, rtt)
+		case 4:
+			fmt.Fprintf(&b, `{"id":"crlf-%d","features":{"mobile.rtt":%g,"mobile.loss":%g}}`+"\r\n", i, rtt, loss)
 		case 6:
-			b.WriteString("\n")
+			b.WriteString([]string{"\n", "\r\n"}[i/8%2])
 			fmt.Fprintf(&b, `{"id":"s%d","features":{"mobile.rtt":%g,"mobile.loss":%g,"router.rtt":1}}`+"\n", i, rtt, loss)
 		case 7:
 			b.WriteString([]string{"this is not json", `{"id":5}`, `{"id":"big","features":{"mobile.rtt":1e400}}`, `{"id":"x","explain":1}`, `[]`}[i/8] + "\n")
@@ -74,36 +77,48 @@ func TestRouterMatchesDirectEngine(t *testing.T) {
 		}
 	})
 
-	t.Run("failover", func(t *testing.T) {
-		// The first /diagnose answer of the failing replica is its
-		// engine's real answer, cut after one row: the connection dies
-		// mid-stream, and the router re-sends the rest elsewhere.
-		eng := startEngine(t, "h1", nil)
-		var cut atomic.Bool
-		failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != "/diagnose" || cut.Load() {
-				proxyTo(t, eng.URL, w, r)
-				return
+	// The first /diagnose answer of the failing replica is its engine's
+	// real answer, cut after its first line, or in the middle of its
+	// second: the connection dies mid-stream, and the router re-sends
+	// the rest elsewhere. A cut line is not an answer.
+	for _, tc := range []struct {
+		name string
+		cut  func(answer []byte) []byte
+	}{
+		{"failover", func(a []byte) []byte { return a[:bytes.IndexByte(a, '\n')+1] }},
+		{"failover mid-line", func(a []byte) []byte {
+			first := bytes.IndexByte(a, '\n') + 1
+			second := bytes.IndexByte(a[first:], '\n')
+			return a[:first+second/2]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := startEngine(t, "h1", nil)
+			var cut atomic.Bool
+			failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/diagnose" || cut.Load() {
+					proxyTo(t, eng.URL, w, r)
+					return
+				}
+				cut.Store(true)
+				rec := httptest.NewRecorder()
+				proxyTo(t, eng.URL, rec, r)
+				w.Header().Set("Content-Type", "application/x-ndjson")
+				w.Write(tc.cut(rec.Body.Bytes()))
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler)
+			}))
+			defer failing.Close()
+			healthy := startEngine(t, "h1", nil)
+			rt := newRouter(t, Config{Replicas: []string{failing.URL, healthy.URL}})
+			if got := post(t, rt.Handler(), body); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("through the router with a failover:\n%s\ndirect:\n%s", got, want.Bytes())
 			}
-			cut.Store(true)
-			rec := httptest.NewRecorder()
-			proxyTo(t, eng.URL, rec, r)
-			first, _, _ := bytes.Cut(rec.Body.Bytes(), []byte("\n"))
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			w.Write(append(first, '\n'))
-			w.(http.Flusher).Flush()
-			panic(http.ErrAbortHandler)
-		}))
-		defer failing.Close()
-		healthy := startEngine(t, "h1", nil)
-		rt := newRouter(t, Config{Replicas: []string{failing.URL, healthy.URL}})
-		if got := post(t, rt.Handler(), body); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("through the router with a failover:\n%s\ndirect:\n%s", got, want.Bytes())
-		}
-		if !cut.Load() || rt.obs.failovers.Value() != 1 {
-			t.Fatalf("no mid-batch failover happened (cut %v, failovers %d)", cut.Load(), rt.obs.failovers.Value())
-		}
-	})
+			if !cut.Load() || rt.obs.failovers.Value() != 1 {
+				t.Fatalf("no mid-batch failover happened (cut %v, failovers %d)", cut.Load(), rt.obs.failovers.Value())
+			}
+		})
+	}
 }
 
 // proxyTo forwards r to the server at url and copies its answer to w.

@@ -4,13 +4,16 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -121,6 +124,50 @@ func TestProxyMergesInInputOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProxyConcurrentBatchesKeepTheirAnswers posts bodies of varying
+// length through one router from several goroutines at once. Each
+// request's sub-batch bodies, answer buffers and merge buffer come from
+// a shared pool, so an answer that leaked between requests, or a buffer
+// reused while a slot still pointed into it, shows as a wrong id.
+func TestProxyConcurrentBatchesKeepTheirAnswers(t *testing.T) {
+	a, b := startEngine(t, "h1", nil), startEngine(t, "h1", nil)
+	h := newRouter(t, Config{Replicas: []string{a.URL, b.URL}}).Handler()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				ids := make([]string, 1+(g*7+k*13)%40)
+				for i := range ids {
+					ids[i] = fmt.Sprintf("g%d-k%d-r%d", g, k, i)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", strings.NewReader(ndjson(ids...))))
+				if rec.Code != http.StatusOK {
+					t.Errorf("HTTP %d: %s", rec.Code, rec.Body.String())
+					return
+				}
+				var got []string
+				sc := bufio.NewScanner(rec.Body)
+				for sc.Scan() {
+					var r resultRow
+					if err := json.Unmarshal(sc.Bytes(), &r); err != nil || r.Err != "" {
+						t.Errorf("answer line %q: %v", sc.Text(), err)
+						return
+					}
+					got = append(got, r.ID)
+				}
+				if !slices.Equal(got, ids) {
+					t.Errorf("answers for %v, want %v", got, ids)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestProxyRejectsWhatReplicasReject pins the router's line check to
@@ -337,5 +384,49 @@ func TestProxyClientDisconnectCancelsUpstream(t *testing.T) {
 	}
 	if err := <-done; err == nil {
 		t.Fatal("canceled client request reported success")
+	}
+}
+
+// TestReadAnswer pins how a replica answer is cut into row answers: a
+// line answers its row once its newline arrived or the stream ended
+// cleanly after it, blank and CR-only lines answer nothing, surplus
+// lines are ignored, and a line past maxLine stops the read.
+func TestReadAnswer(t *testing.T) {
+	broken := errors.New("connection reset")
+	cut := func(s string) io.Reader { return io.MultiReader(strings.NewReader(s), iotest.ErrReader(broken)) }
+	long := strings.Repeat("x", maxLine)
+	for _, tc := range []struct {
+		name  string
+		r     io.Reader
+		rows  int
+		want  []string
+		errIs error
+	}{
+		{"clean", strings.NewReader("a\nb\n"), 2, []string{"a", "b"}, nil},
+		{"unterminated tail at EOF", strings.NewReader("a\nb"), 2, []string{"a", "b"}, nil},
+		{"blank and CR lines", strings.NewReader("\na\r\n\r\n\nb\r"), 2, []string{"a", "b"}, nil},
+		{"byte at a time", iotest.OneByteReader(strings.NewReader("alpha\r\nbeta\n")), 2, []string{"alpha", "beta"}, nil},
+		{"cut mid-line", cut("a\nb-half"), 2, []string{"a"}, broken},
+		{"cut after a line", cut("a\n"), 2, []string{"a"}, broken},
+		{"surplus lines", strings.NewReader("a\nb\nc\n"), 2, []string{"a", "b"}, nil},
+		{"broken after every row", cut("a\nb\nc"), 2, []string{"a", "b"}, nil},
+		{"short answer", strings.NewReader("a\n"), 2, []string{"a"}, nil},
+		{"line too long", strings.NewReader("a\n" + long + "\nb\n"), 3, []string{"a"}, bufio.ErrTooLong},
+		{"longest line", strings.NewReader(long[1:] + "\nb\n"), 2, []string{long[1:], "b"}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := make([]rowRef, tc.rows)
+			buf, served, err := readAnswer(tc.r, nil, rows)
+			if !errors.Is(err, tc.errIs) {
+				t.Fatalf("err %v, want %v", err, tc.errIs)
+			}
+			var got []string
+			for _, rw := range rows[:served] {
+				got = append(got, string(buf[rw.lo:rw.hi]))
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("answers %.60q, want %.60q", got, tc.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -30,10 +29,14 @@ type ringPoint struct {
 // their vnode points in tight clusters, and a two-replica ring can
 // leave one replica owning almost nothing. The mixer spreads every
 // input bit across the whole word, which is what ring placement needs.
+// FNV-1a runs inline, bit for bit the hash/fnv one, so a lookup per row
+// allocates neither a hasher nor a copy of s.
 func fnv64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+	x := uint64(14695981039346656037) // FNV-64 offset basis
+	for i := 0; i < len(s); i++ {
+		x ^= uint64(s[i])
+		x *= 1099511628211 // FNV-64 prime
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

@@ -213,12 +213,15 @@ func TestRolloutHTTPEndpoint(t *testing.T) {
 	}
 }
 
+// BenchmarkRouterDiagnose times one 100-row narrow /diagnose body per
+// iteration through the router over two real engines, the router's
+// scan, fan-out, answer reads and merge plus both replicas' work; ns/row
+// is the figure that reads against serve's BenchmarkDiagnoseHandlerNarrow.
 func BenchmarkRouterDiagnose(b *testing.B) {
-	a := newScriptedReplica(b)
-	c := newScriptedReplica(b)
-	rt := newRouter(b, Config{Replicas: []string{a.srv.URL, c.srv.URL}})
+	a, c := startEngine(b, "h1", nil), startEngine(b, "h1", nil)
+	rt := newRouter(b, Config{Replicas: []string{a.URL, c.URL}})
 
-	const rows = 64
+	const rows = 100
 	ids := make([]string, rows)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("sess-%d", i)
@@ -234,7 +237,7 @@ func BenchmarkRouterDiagnose(b *testing.B) {
 			b.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	b.ReportMetric(float64(rows*b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
 }
 
 // BenchmarkRouterFailover measures the full failover round trip: the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -293,6 +294,47 @@ func TestRingBalancedForPortOnlyURLs(t *testing.T) {
 		// that the pre-fix degenerate layouts (0–2 sessions) fail loudly.
 		if owned[0] < 200 || owned[1] < 200 {
 			t.Fatalf("ports %d/%d: lopsided ownership %v", port, port+2, owned)
+		}
+	}
+}
+
+// TestRingHashMatchesFNV pins the inline hash to hash/fnv's FNV-64a
+// followed by the same avalanche mixer, on empty, ASCII, non-ASCII and
+// long strings.
+func TestRingHashMatchesFNV(t *testing.T) {
+	ref := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		x := h.Sum64()
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		return x
+	}
+	inputs := []string{"", "a", "s0", "sess-42", "http://127.0.0.1:8701#63", "ünïcødé  ", "\x00\xff\xfe", strings.Repeat("long-session-id/", 500)}
+	for _, s := range inputs {
+		if got, want := fnv64(s), ref(s); got != want {
+			t.Errorf("fnv64(%.40q) = %#x, want %#x", s, got, want)
+		}
+	}
+}
+
+// TestRingOwnersGolden pins where fixed session IDs land on a fixed
+// three-replica ring, so sticky sessions keep their replica across
+// router upgrades.
+func TestRingOwnersGolden(t *testing.T) {
+	rg := buildRing([]string{"http://127.0.0.1:8701", "http://127.0.0.1:8702", "http://127.0.0.1:8703"}, 64)
+	ids := []string{"", "s0", "s1", "sess-7", "sess-42", "client-9/session-12", "ünïcødé", "<s5>& ", "a-very-long-session-identifier-0123456789abcdef0123456789abcdef"}
+	want := []int{2, 1, 1, 0, 1, 0, 0, 1, 2}
+	for i := 0; i < 24; i++ {
+		ids = append(ids, fmt.Sprintf("sess-%d", i))
+	}
+	want = append(want, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 2, 1, 1, 2, 1, 0, 1)
+	for i, id := range ids {
+		if got := rg.owner(id); got != want[i] {
+			t.Errorf("owner(%q) = %d, want %d", id, got, want[i])
 		}
 	}
 }

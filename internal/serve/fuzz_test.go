@@ -3,7 +3,8 @@ package serve
 // Fuzz target for the NDJSON ingest surface: arbitrary request bodies
 // must never panic the handler or the engine behind it, and the
 // response must stay well-formed NDJSON with one result per non-blank
-// input line.
+// input line. Lines are read the way bufio.ScanLines reads them: one
+// trailing CR is dropped, so a line holding only a CR is blank.
 
 import (
 	"bufio"
@@ -25,6 +26,7 @@ func FuzzDiagnoseNDJSON(f *testing.F) {
 	f.Add([]byte(`{"id":"a","explain":true,"features":{}}` + "\n"))
 	f.Add([]byte("\x00\xff\xfe\n{broken\n"))
 	f.Add([]byte(""))
+	f.Add([]byte("\r\n0"))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req := httptest.NewRequest("POST", "/diagnose", bytes.NewReader(body))
@@ -36,7 +38,7 @@ func FuzzDiagnoseNDJSON(f *testing.F) {
 		}
 		nonBlank := 0
 		for _, line := range bytes.Split(body, []byte("\n")) {
-			if len(line) > 0 {
+			if len(bytes.TrimSuffix(line, []byte("\r"))) > 0 {
 				nonBlank++
 			}
 		}

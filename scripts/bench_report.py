@@ -19,7 +19,7 @@ ALLOC_TOLERANCE = 2.5
 
 LINE = re.compile(
     r"^(Benchmark\w+)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op"
-    r"(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) ns/row)?(?:\s+([\d.]+) rows/s)?"
+    r"(?:\s+[\d.]+ MB/s)?(?:\s+([\d.]+) ns/row)?"
     r"\s+([\d.]+) B/op\s+([\d.]+) allocs/op"
 )
 
@@ -41,17 +41,13 @@ def parse(stream):
         if m:
             entry = {
                 "ns_op": float(m.group(2)),
-                "b_op": float(m.group(5)),
-                "allocs_op": float(m.group(6)),
+                "b_op": float(m.group(4)),
+                "allocs_op": float(m.group(5)),
             }
-            # The /diagnose handler benches emit ns/row: one iteration
-            # is a whole body of rows.
+            # The /diagnose handler and router benches emit ns/row: one
+            # iteration is a whole body of rows.
             if m.group(3):
                 entry["ns_row"] = float(m.group(3))
-            # Router benches emit a custom rows/s metric (rows proxied
-            # per second through the full HTTP round trip).
-            if m.group(4):
-                entry["rows_per_sec"] = round(float(m.group(4)), 1)
             # The fleet benchmark runs one b.N-session fleet, so ns/op
             # is ns per simulated session — record the headline
             # throughput figure alongside it.

@@ -87,7 +87,8 @@ grep -q 'slo alert firing' "$tmp/serve.log"
 echo "ok: latency-canary firing"
 
 echo "== /dashboard serves the HTML page =="
-curl -fsS "http://$ADDR/dashboard" | grep -qi '<!doctype html>'
+curl -fsS "http://$ADDR/dashboard" >"$tmp/dashboard.html"
+grep -qi '<!doctype html>' "$tmp/dashboard.html"
 echo "ok: dashboard up"
 
 echo "== vqtop renders one frame from each source =="

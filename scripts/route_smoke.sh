@@ -69,7 +69,8 @@ wait_http "http://$B_ADDR/healthz" "$tmp/b.log"
   -health-every 200ms -eject-after 2 2>"$tmp/r.log" &
 r_pid=$!
 wait_http "http://$R_ADDR/healthz" "$tmp/r.log"
-curl -fsS "http://$R_ADDR/healthz" | grep -q '"status":"ok"'
+curl -fsS "http://$R_ADDR/healthz" >"$tmp/healthz.json"
+grep -q '"status":"ok"' "$tmp/healthz.json"
 echo "ok: fleet up, router reports both replicas healthy"
 
 mkbatch() { # $1: rows, $2: id prefix — session IDs spread over the ring
@@ -92,8 +93,10 @@ if grep -q '"error":' "$tmp/out.ndjson"; then
 fi
 # Sticky consistent hashing must have spread 60 sessions over both
 # replicas (the avalanche-mixed ring guarantees a non-degenerate split).
-curl -fsS "http://$A_ADDR/metrics" | grep '^vqserve_requests_total' | grep -qv ' 0$'
-curl -fsS "http://$B_ADDR/metrics" | grep '^vqserve_requests_total' | grep -qv ' 0$'
+curl -fsS "http://$A_ADDR/metrics" >"$tmp/a.metrics"
+curl -fsS "http://$B_ADDR/metrics" >"$tmp/b.metrics"
+grep '^vqserve_requests_total' "$tmp/a.metrics" | grep -qv ' 0$'
+grep '^vqserve_requests_total' "$tmp/b.metrics" | grep -qv ' 0$'
 echo "ok: 60/60 rows classified, both replicas took traffic"
 
 echo "== staged rollout converges the fleet on the new snapshot =="
@@ -125,10 +128,11 @@ if grep -q '"error":' "$tmp/out2.ndjson"; then
   grep '"error":' "$tmp/out2.ndjson" >&2
   exit 1
 fi
-curl -fsS "http://$R_ADDR/metrics" | grep '^vqroute_failovers_total' | grep -qv ' 0$'
+curl -fsS "http://$R_ADDR/metrics" >"$tmp/r.metrics"
+grep '^vqroute_failovers_total' "$tmp/r.metrics" | grep -qv ' 0$'
 # Two failed 200ms health sweeps eject the dead replica.
 for i in $(seq 1 50); do
-  curl -fsS "http://$R_ADDR/healthz" | grep -q '"down":1' && break
+  curl -fsS "http://$R_ADDR/healthz" >"$tmp/healthz.json" && grep -q '"down":1' "$tmp/healthz.json" && break
   sleep 0.1
 done
 curl -fsS "http://$R_ADDR/healthz" >"$tmp/healthz.json"
