@@ -30,7 +30,9 @@ var wallClockFuncs = map[string]string{
 // The check flags every call to a wall-clock function of package time.
 // Real-time components opt out per directory (.vqlint.json relaxes
 // cmd/ and examples/) or per call site with a reasoned //lint:ignore
-// (internal/trace's wall-clock epoch, internal/serve's queue timing).
+// (internal/trace's wall-clock epoch). A component that times real work
+// can instead take its clock as a func value, as internal/serve and
+// internal/route do, which also lets tests substitute a fake.
 var AnalyzerVirtClock = &Analyzer{
 	Name:     "virtclock",
 	Severity: SeverityError,

@@ -78,25 +78,35 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v float64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value v at the cost of one:
+// the buckets and count move exactly as n Observe(v) calls would move
+// them, and the sum by v*n, which is exact whenever v*n is (n
+// Observe(v) calls round at each step instead). n == 0 records
+// nothing.
+func (h *Histogram) ObserveN(v float64, n uint64) {
+	if n == 0 {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[i].Add(n)
+	h.count.Add(n)
+	add := v * float64(n)
 	for {
 		old := h.sumBits.Load()
-		sum := math.Float64frombits(old) + v
+		sum := math.Float64frombits(old) + add
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
 			return
 		}
 	}
 }
 
-// ObserveExemplar records a sample and retains it as the histogram's
-// exemplar, tagged with the originating trace ID. The latest exemplar
-// wins; exposition shows it only in OpenMetrics output (the 0.0.4 text
-// format has no exemplar syntax).
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	h.Observe(v)
+// SetExemplar retains an already observed value as the histogram's
+// exemplar, tagged with the originating trace ID; an empty ID keeps
+// the previous one. The latest exemplar wins; exposition shows it only
+// in OpenMetrics output (the 0.0.4 text format has no exemplar syntax).
+func (h *Histogram) SetExemplar(v float64, traceID string) {
 	if traceID != "" {
 		h.ex.Store(&Exemplar{TraceID: traceID, Value: v})
 	}

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -104,17 +106,69 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// TestObserveNMatchesObserve renders n Observe(v) calls and one
+// ObserveN(v, n) side by side: bucket lines and _count must match
+// exactly, _sum to the last bit where v is exact in binary and to
+// 1e-12 relative otherwise. ObserveN(v, 0) records nothing.
+func TestObserveNMatchesObserve(t *testing.T) {
+	for _, tc := range []struct {
+		v     float64
+		n     uint64
+		exact bool
+	}{
+		{0.5, 100, true},
+		{3e-6, 32, false},
+		{0.1, 7, false},
+		{2, 1, true},
+		{1.25e-4, 0, true},
+	} {
+		one, many := NewRegistry(), NewRegistry()
+		h := one.Histogram("lat", "", LatencyBuckets)
+		h.ObserveN(tc.v, tc.n)
+		hm := many.Histogram("lat", "", LatencyBuckets)
+		for i := uint64(0); i < tc.n; i++ {
+			hm.Observe(tc.v)
+		}
+		var a, b strings.Builder
+		one.WriteText(&a)
+		many.WriteText(&b)
+		la, lb := strings.Split(a.String(), "\n"), strings.Split(b.String(), "\n")
+		if len(la) != len(lb) {
+			t.Fatalf("v=%g n=%d: %d lines vs %d", tc.v, tc.n, len(la), len(lb))
+		}
+		for i := range la {
+			if !strings.HasPrefix(la[i], "lat_sum ") {
+				if la[i] != lb[i] {
+					t.Errorf("v=%g n=%d: ObserveN renders %q, Observe %q", tc.v, tc.n, la[i], lb[i])
+				}
+				continue
+			}
+			sa, _ := strconv.ParseFloat(strings.TrimPrefix(la[i], "lat_sum "), 64)
+			sb, _ := strconv.ParseFloat(strings.TrimPrefix(lb[i], "lat_sum "), 64)
+			if tc.exact && sa != sb || math.Abs(sa-sb) > 1e-12*math.Abs(sb) {
+				t.Errorf("v=%g n=%d: ObserveN sum %v, Observe sum %v", tc.v, tc.n, sa, sb)
+			}
+		}
+		if tc.n == 0 && h.Count() != 0 {
+			t.Errorf("ObserveN(v, 0) recorded %d samples", h.Count())
+		}
+	}
+}
+
 func TestHistogramExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram(`lat{stage="total"}`, "latency", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
-	h.ObserveExemplar(0.05, "1a2b")
+	h.Observe(0.05)
+	h.SetExemplar(0.05, "1a2b")
 	if ex := h.Exemplar(); ex == nil || ex.TraceID != "1a2b" || ex.Value != 0.05 {
 		t.Fatalf("exemplar = %+v, want {1a2b 0.05}", h.Exemplar())
 	}
 	// The latest exemplar wins; empty trace IDs never replace one.
-	h.ObserveExemplar(0.5, "c3d4")
-	h.ObserveExemplar(0.7, "")
+	h.Observe(0.5)
+	h.SetExemplar(0.5, "c3d4")
+	h.Observe(0.7)
+	h.SetExemplar(0.7, "")
 	if ex := h.Exemplar(); ex.TraceID != "c3d4" {
 		t.Fatalf("exemplar = %+v, want c3d4", ex)
 	}
@@ -146,7 +200,8 @@ func TestHistogramExemplar(t *testing.T) {
 func TestExemplarAboveAllBucketsLandsOnInf(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "latency", []float64{0.01, 0.1})
-	h.ObserveExemplar(5, "beef")
+	h.Observe(5)
+	h.SetExemplar(5, "beef")
 	var om strings.Builder
 	r.WriteOpenMetrics(&om)
 	want := `lat_bucket{le="+Inf"} 1 # {trace_id="beef"} 5`
@@ -164,7 +219,8 @@ func TestExemplarConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				h.ObserveExemplar(float64(j)*1e-6, "t")
+				h.Observe(float64(j) * 1e-6)
+				h.SetExemplar(float64(j)*1e-6, "t")
 				var b strings.Builder
 				if j%100 == 0 {
 					r.WriteOpenMetrics(&b)

@@ -324,7 +324,8 @@ func TestPromParseRoundTrip(t *testing.T) {
 
 	// OpenMetrics form (exemplars + # EOF) parses to the same result.
 	buf.Reset()
-	h.ObserveExemplar(0.05, "trace-1")
+	h.Observe(0.05)
+	h.SetExemplar(0.05, "trace-1")
 	reg.WriteOpenMetrics(&buf)
 	if _, err := ParsePromText(&buf); err != nil {
 		t.Fatalf("parse OpenMetrics: %v", err)

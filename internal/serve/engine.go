@@ -406,6 +406,11 @@ type Engine struct {
 	retrySeed uint64
 	retrySeq  atomic.Uint64
 	sleep     func(time.Duration)
+	// now is the engine's clock: enqueue stamps, stage timings and
+	// uptime all read it, and nothing else in the engine reads the
+	// time. It is wall time in service; tests swap in a fake before the
+	// first submission to pin or count the readings.
+	now func() time.Time
 
 	reg   *metrics.Registry
 	obs   *obs
@@ -422,8 +427,8 @@ var engineSeq atomic.Uint64
 // serving the given snapshot.
 func NewEngine(m *Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	//lint:ignore virtclock process start time for /healthz uptime is wall time by design
-	e := &Engine{cfg: cfg, reg: cfg.Registry, start: time.Now()}
+	e := &Engine{cfg: cfg, reg: cfg.Registry, now: time.Now}
+	e.start = e.now()
 	e.retrySeed = cfg.RetrySeed
 	if e.retrySeed == 0 {
 		e.retrySeed = splitmix64(engineSeq.Add(1))
@@ -509,14 +514,19 @@ func (e *Engine) LastReloadError() string {
 // Submit enqueues one request. res is written and done invoked exactly
 // once when the request completes; on a non-nil error neither happens.
 func (e *Engine) Submit(req Request, res *Result, done func()) error {
+	return e.submit(req, res, done, e.now())
+}
+
+// submit is Submit with the enqueue time enq supplied, so one clock
+// reading serves a whole DiagnoseBatch round.
+func (e *Engine) submit(req Request, res *Result, done func(), enq time.Time) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if e.closed {
 		return ErrClosed
 	}
 	sh := e.shards[e.shardFor(req.ID)]
-	//lint:ignore virtclock queue-wait timing measures real enqueue latency; serving has no virtual clock
-	j := job{req: req, res: res, done: done, enq: time.Now()}
+	j := job{req: req, res: res, done: done, enq: enq}
 	if e.cfg.Policy == Shed {
 		select {
 		case sh.ch <- j:
@@ -574,24 +584,6 @@ func (e *Engine) nextRetrySeed() uint64 {
 	return splitmix64(e.retrySeed ^ splitmix64(e.retrySeq.Add(1)))
 }
 
-// submitRetry is Submit plus bounded retry on shed (ErrOverloaded)
-// responses — transient overload smooths out, sustained overload still
-// surfaces after RetryMax attempts. Each pause comes from retryDelay:
-// capped doubling with seeded jitter, never a lockstep schedule.
-func (e *Engine) submitRetry(req Request, res *Result, done func()) error {
-	err := e.Submit(req, res, done)
-	if e.cfg.RetryMax <= 0 || !errors.Is(err, ErrOverloaded) {
-		return err
-	}
-	seed := e.nextRetrySeed()
-	for attempt := 0; attempt < e.cfg.RetryMax && errors.Is(err, ErrOverloaded); attempt++ {
-		e.obs.retries.Inc()
-		e.sleep(retryDelay(seed, attempt, e.cfg.RetryBackoff, e.cfg.RetryBackoffMax))
-		err = e.Submit(req, res, done)
-	}
-	return err
-}
-
 // ValidateFeatures rejects feature vectors carrying NaN or ±Inf
 // values. NaN is the pipeline's internal missing-value sentinel: letting
 // it in from a client would silently classify the record down the
@@ -622,16 +614,19 @@ func ValidateFeatures(fv map[string]float64) error {
 // first, then only the shed rows are re-submitted, one shared jittered
 // backoff per retry round. A batch with a single shed row therefore
 // completes in roughly one backoff, not N of them.
+//
+// Each round reads the clock once: its rows share one enqueue time.
 func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 	res := make([]Result, len(reqs))
 	e.obs.inflight.Add(float64(len(reqs)))
 	defer e.obs.inflight.Add(-float64(len(reqs)))
 	var wg sync.WaitGroup
-	done := wg.Done // one method value for every row, not a closure per row
-	var shed []int  // indices still waiting on queue space
+	wg.Add(len(reqs)) // each row is Done once: answered, failed or finally shed
+	done := wg.Done   // one method value for every row, not a closure per row
+	var shed []int    // indices still waiting on queue space
+	enq := e.now()
 	for i := range reqs {
-		wg.Add(1)
-		err := e.Submit(reqs[i], &res[i], done)
+		err := e.submit(reqs[i], &res[i], done, enq)
 		switch {
 		case err == nil:
 		case errors.Is(err, ErrOverloaded) && e.cfg.RetryMax > 0:
@@ -645,9 +640,10 @@ func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 	for attempt := 0; attempt < e.cfg.RetryMax && len(shed) > 0; attempt++ {
 		e.sleep(retryDelay(seed, attempt, e.cfg.RetryBackoff, e.cfg.RetryBackoffMax))
 		remaining := shed[:0]
+		enq = e.now()
 		for _, i := range shed {
 			e.obs.retries.Inc()
-			err := e.Submit(reqs[i], &res[i], done)
+			err := e.submit(reqs[i], &res[i], done, enq)
 			switch {
 			case err == nil:
 			case errors.Is(err, ErrOverloaded):

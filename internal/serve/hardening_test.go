@@ -138,17 +138,25 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 
 // TestRequestTimeout: with RequestTimeout set, a request that waited in
 // queue past the deadline is answered with a timeout error instead of
-// being classified against a stale world.
+// being classified against a stale world; one that waited exactly the
+// limit is classified. A one-row body reads the engine clock at
+// enqueue and then at dequeue, so the fake clock's step is the row's
+// queue wait.
 func TestRequestTimeout(t *testing.T) {
-	m := testModel(t, "lan_cong_severe")
-	e := NewEngine(m, Config{Shards: 1, RequestTimeout: time.Nanosecond})
-	res := e.DiagnoseBatch([]Request{{ID: "x", Features: fv(50, 0)}})
-	if !strings.Contains(res[0].Err, "timed out") {
-		t.Fatalf("queue wait always exceeds 1ns, but Err=%q", res[0].Err)
+	const limit = 10 * time.Millisecond
+	e, clk := newClockedEngine(t, Config{Shards: 1, RequestTimeout: limit}, limit+time.Nanosecond)
+	late := e.DiagnoseBatch([]Request{{ID: "late", Features: fv(50, 0)}})
+	if want := "timed out after 10.000001ms"; !strings.Contains(late[0].Err, want) {
+		t.Fatalf("row queued 1ns past the limit: Err=%q, want %q", late[0].Err, want)
+	}
+	clk.setStep(limit)
+	inTime := e.DiagnoseBatch([]Request{{ID: "in-time", Features: fv(50, 0)}})
+	if inTime[0].Err != "" || inTime[0].Class != "good" {
+		t.Fatalf("row queued exactly the limit: %+v, want classified good", inTime[0])
 	}
 	e.Close()
-	if v := e.obs.timeouts.Value(); v == 0 {
-		t.Error("timeouts counter not incremented")
+	if v := e.obs.timeouts.Value(); v != 1 {
+		t.Errorf("timeouts counter = %d, want 1", v)
 	}
 	submitted, requests, errs, _ := e.Counters()
 	if submitted != requests+errs {

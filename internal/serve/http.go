@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"slices"
 	"sync"
-	"time"
 
 	"vqprobe/internal/reqscan"
 )
@@ -84,14 +83,13 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	body := map[string]any{
-		"status":   "ok",
-		"task":     m.Task(),
-		"features": len(m.Schema()),
-		"classes":  len(m.Classes()),
-		"model":    m.Info(),
-		"shards":   len(e.shards),
-		//lint:ignore virtclock daemon uptime for /healthz is wall time by design
-		"uptime_seconds": int64(time.Since(e.start).Seconds()),
+		"status":         "ok",
+		"task":           m.Task(),
+		"features":       len(m.Schema()),
+		"classes":        len(m.Classes()),
+		"model":          m.Info(),
+		"shards":         len(e.shards),
+		"uptime_seconds": int64(e.now().Sub(e.start).Seconds()),
 	}
 	// A failed reload leaves the engine answering from the last-good
 	// snapshot: alive (200) but degraded, and /healthz says why.

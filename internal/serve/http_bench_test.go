@@ -8,14 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"vqprobe/internal/reqscan"
 )
 
-// benchDiagnose times the /diagnose handler on one body of rows copies
-// of row, NDJSON decode and encode included, and reports ns/row.
-func benchDiagnose(b *testing.B, rows int, row map[string]float64) {
-	e := NewEngine(testModel(b, "lan_cong_severe"), Config{Shards: 1})
-	defer e.Close()
-	h := e.Handler()
+// benchBody is a /diagnose body of rows copies of row, with ids s0, s1...
+func benchBody(b *testing.B, rows int, row map[string]float64) []byte {
 	var body []byte
 	for i := 0; i < rows; i++ {
 		line, err := json.Marshal(map[string]any{"id": fmt.Sprintf("s%d", i), "features": row})
@@ -24,6 +22,16 @@ func benchDiagnose(b *testing.B, rows int, row map[string]float64) {
 		}
 		body = append(append(body, line...), '\n')
 	}
+	return body
+}
+
+// benchDiagnose times the /diagnose handler on one body of rows copies
+// of row, NDJSON decode and encode included, and reports ns/row.
+func benchDiagnose(b *testing.B, rows int, row map[string]float64) {
+	e := NewEngine(testModel(b, "lan_cong_severe"), Config{Shards: 1})
+	defer e.Close()
+	h := e.Handler()
+	body := benchBody(b, rows, row)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -72,3 +80,33 @@ func benchWideRow() map[string]float64 {
 // BenchmarkDiagnoseHandlerNarrow is a bulk upload trimmed to the keys
 // the model reads: 100 rows of its 2 plan features.
 func BenchmarkDiagnoseHandlerNarrow(b *testing.B) { benchDiagnose(b, 100, fv(150, 8)) }
+
+// BenchmarkEngineBatchNarrow times the engine layer under
+// BenchmarkDiagnoseHandlerNarrow: the same 100 narrow rows, decoded
+// into their slots once before the timer starts, through DiagnoseBatch
+// alone. It reports ns/row.
+func BenchmarkEngineBatchNarrow(b *testing.B) {
+	e := NewEngine(testModel(b, "lan_cong_severe"), Config{Shards: 1})
+	defer e.Close()
+	snap := &snapshotRef{m: e.Model()}
+	width := snap.m.keys.Len()
+	lines := bytes.Split(bytes.TrimSuffix(benchBody(b, 100, fv(150, 8)), []byte("\n")), []byte("\n"))
+	vals := make([]float64, len(lines)*width)
+	reqs := make([]Request, len(lines))
+	for i, line := range lines {
+		v := vals[i*width : (i+1)*width : (i+1)*width]
+		req, err := reqscan.Scan(line, snap.m.keys, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs[i] = Request{ID: req.ID, Explain: req.Explain, decodedBy: snap, vals: v}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := e.DiagnoseBatch(reqs); res[0].Err != "" {
+			b.Fatal(res[0].Err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/row")
+}

@@ -11,7 +11,9 @@ import (
 	"vqprobe/internal/ml/c45"
 )
 
-// job is one queued classification.
+// job is one queued classification. enq is the engine-clock time its
+// submission round began: every row a DiagnoseBatch round submits
+// shares one reading.
 type job struct {
 	req  Request
 	res  *Result
@@ -57,19 +59,19 @@ type batchScratch struct {
 	vals  []float64 // a feature-map request's raw values, in the model's slots
 	row   []float64 // schema row: prep stages into it, explain rows are read back into it
 
-	snaps []*Model // distinct snapshots of the batch being processed
+	snaps    []*Model  // distinct snapshots of the batch being processed
+	dequeued time.Time // when the batch being processed was drained
 
 	// Per batched job, parallel to the matrix rows.
-	jobs   []*job
-	queueD []time.Duration
-	normD  []time.Duration
-	exp    []*c45.Explanation // recorded paths of explain rows; nil for plain ones
+	jobs []*job
+	exp  []*c45.Explanation // recorded paths of explain rows; nil for plain ones
 }
 
 // runWorker drains one shard: it batches up to MaxBatch queued jobs,
 // loads the model snapshot once per batch, and classifies the drain
 // through one PredictBatchIdx frontier sweep per snapshot over a pooled
-// matrix, recording per-stage latencies per request.
+// matrix. It keeps its accounts per batch and per sweep, not per row:
+// one clock read at dequeue and two per sweep time every stage.
 func (e *Engine) runWorker(sh *shard) {
 	defer e.workers.Done()
 	batch := make([]job, 0, e.cfg.MaxBatch)
@@ -95,9 +97,8 @@ func (e *Engine) runWorker(sh *shard) {
 		sh.depth.Set(float64(len(sh.ch)))
 		e.obs.batchSize.Observe(float64(len(batch)))
 		m := e.model.Load()
-		//lint:ignore virtclock serving measures real request latency; there is no virtual clock here
-		dequeued := time.Now()
-		e.processBatch(m, batch, ws, dequeued)
+		ws.dequeued = e.now()
+		e.processBatch(m, batch, ws)
 	}
 }
 
@@ -111,15 +112,28 @@ func (e *Engine) runWorker(sh *shard) {
 // latencies. The sweeps only write results; the closing loop then
 // completes every job in drain order, so same-session requests
 // complete in submission order however early each was answered.
-func (e *Engine) processBatch(cur *Model, batch []job, ws *batchScratch, dequeued time.Time) {
+//
+// Every drained job waited in its queue, whether it is then answered
+// or fails (a panic included), so the queue stage is observed here for
+// all of them: once per run of jobs enqueued together.
+func (e *Engine) processBatch(cur *Model, batch []job, ws *batchScratch) {
+	for i := 0; i < len(batch); {
+		enq, k := batch[i].enq, i+1
+		for k < len(batch) && batch[k].enq.Equal(enq) {
+			k++
+		}
+		e.obs.queueHist.ObserveN(ws.dequeued.Sub(enq).Seconds(), uint64(k-i))
+		i = k
+	}
 	ws.snaps = ws.snaps[:0]
 	for i := range batch {
 		if m := batch[i].model(cur); !slices.Contains(ws.snaps, m) {
 			ws.snaps = append(ws.snaps, m)
 		}
 	}
+	at := ws.dequeued
 	for _, m := range ws.snaps {
-		e.sweep(m, cur, batch, ws, dequeued)
+		at = e.sweep(m, cur, batch, ws, at)
 	}
 	for i := range batch {
 		e.complete(&batch[i])
@@ -134,8 +148,11 @@ func (j *job) model(cur *Model) *Model {
 	return cur
 }
 
-// sweep classifies the jobs of batch whose snapshot is m.
-func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, dequeued time.Time) {
+// sweep classifies the jobs of batch whose snapshot is m. Its prep
+// loop starts at start, the dequeue time or the end of the batch's
+// previous sweep; it reads the clock when the loop ends and when the
+// predict sweep does, and returns the last reading.
+func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, start time.Time) time.Time {
 	if m != nil {
 		if ws.model != m {
 			// First batch against another snapshot: rebuild the pooled
@@ -148,26 +165,27 @@ func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, dequeued ti
 		}
 		ws.mat.Reset()
 	}
-	ws.jobs, ws.queueD, ws.normD, ws.exp = ws.jobs[:0], ws.queueD[:0], ws.normD[:0], ws.exp[:0]
+	ws.jobs, ws.exp = ws.jobs[:0], ws.exp[:0]
 	for i := range batch {
 		if batch[i].model(cur) == m {
-			e.prep(m, &batch[i], ws, dequeued)
+			e.prep(m, &batch[i], ws)
 		}
 	}
-	if n := len(ws.jobs); n > 0 {
-		//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-		t0 := time.Now()
-		errMsg := e.predictBatch(m, ws)
-		//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-		share := time.Since(t0) / time.Duration(n)
-		for bi := range ws.jobs {
-			if errMsg != "" {
-				e.failBatched(ws.jobs[bi], ws.queueD[bi], errMsg)
-			} else {
-				e.finish(m, ws, bi, share)
-			}
-		}
+	n := len(ws.jobs)
+	if n == 0 {
+		return start
 	}
+	prepped := e.now()
+	errMsg := e.predictBatch(m, ws)
+	end := e.now()
+	if errMsg != "" {
+		for _, j := range ws.jobs {
+			e.fail(j, errMsg)
+		}
+		return end
+	}
+	e.finish(m, ws, prepped.Sub(start)/time.Duration(n), end.Sub(prepped)/time.Duration(n), end)
+	return end
 }
 
 // prep runs one job's pre-classification stages — model, timeout and
@@ -176,7 +194,7 @@ func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, dequeued ti
 // check, or asks a forest for an explanation, gets its error result
 // here and no row. A panic (e.g. from InjectFault) is recovered per
 // job, so one poisoned request never kills the shard worker.
-func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
+func (e *Engine) prep(m *Model, j *job, ws *batchScratch) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.res.ID = j.req.ID
@@ -185,20 +203,13 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 			e.obs.errs.Inc()
 		}
 	}()
-	queueD := dequeued.Sub(j.enq)
-	fail := func(msg string) {
-		e.obs.queueHist.Observe(queueD.Seconds())
-		j.res.ID = j.req.ID
-		j.res.Err = msg
-		e.obs.errs.Inc()
-	}
 	if m == nil {
-		fail("no model loaded")
+		e.fail(j, "no model loaded")
 		return
 	}
-	if d := e.cfg.RequestTimeout; d > 0 && queueD > d {
+	if d, queueD := e.cfg.RequestTimeout, ws.dequeued.Sub(j.enq); d > 0 && queueD > d {
 		e.obs.timeouts.Inc()
-		fail(fmt.Sprintf("request timed out after %v in queue (limit %v)", queueD, d))
+		e.fail(j, fmt.Sprintf("request timed out after %v in queue (limit %v)", queueD, d))
 		return
 	}
 	// A decoded row carries no non-finite value (reqscan), only NaN for
@@ -206,22 +217,20 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 	if j.req.decodedBy == nil {
 		if err := ValidateFeatures(j.req.Features); err != nil {
 			e.obs.invalid.Inc()
-			fail(err.Error())
+			e.fail(j, err.Error())
 			return
 		}
 	}
 	if f := e.cfg.InjectFault; f != nil {
 		if err := f(&j.req); err != nil {
-			fail(err.Error())
+			e.fail(j, err.Error())
 			return
 		}
 	}
 	if j.req.Explain && m.tree == nil {
-		fail(errExplainForest)
+		e.fail(j, errExplainForest)
 		return
 	}
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	t0 := time.Now()
 	vals := j.req.vals
 	if j.req.decodedBy == nil {
 		m.gather(j.req.Features, ws.vals)
@@ -229,9 +238,6 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch, dequeued time.Time) {
 	}
 	m.fillRow(vals, ws.row)
 	ws.mat.AppendRowValues(ws.row)
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	ws.normD = append(ws.normD, time.Since(t0))
-	ws.queueD = append(ws.queueD, queueD)
 	ws.jobs = append(ws.jobs, j)
 	ws.exp = append(ws.exp, nil)
 }
@@ -263,49 +269,59 @@ func (e *Engine) predictBatch(m *Model, ws *batchScratch) (errMsg string) {
 	return ""
 }
 
-// failBatched answers one batched job after the batch sweep failed.
-func (e *Engine) failBatched(j *job, queueD time.Duration, msg string) {
-	e.obs.queueHist.Observe(queueD.Seconds())
+// fail answers one job with an error.
+func (e *Engine) fail(j *job, msg string) {
 	j.res.ID = j.req.ID
 	j.res.Err = msg
 	e.obs.errs.Inc()
 }
 
-// finish writes batched job bi's successful result and records its
-// stage latencies and trace spans. predD is this request's even share
-// of the batch sweep's duration.
-func (e *Engine) finish(m *Model, ws *batchScratch, bi int, predD time.Duration) {
-	j, queueD, normD := ws.jobs[bi], ws.queueD[bi], ws.normD[bi]
-	label := m.bp.Classes()[ws.idx[bi]]
-	sev, cause := ParseClass(label)
-	*j.res = Result{ID: j.req.ID, Class: label, Severity: sev, Cause: cause}
-	if exp := ws.exp[bi]; exp != nil {
-		j.res.Explain, j.res.Rule = exp, exp.Rule()
+// finish writes a successful sweep's results and records their stage
+// latencies, all ending at end: normalize and predict once each, as
+// the sweep's per-row shares normD and predD, and total once per run
+// of jobs enqueued together. With a tracer, each request also records
+// its span tree and its exemplars.
+func (e *Engine) finish(m *Model, ws *batchScratch, normD, predD time.Duration, end time.Time) {
+	n := uint64(len(ws.jobs))
+	e.obs.normHist.ObserveN(normD.Seconds(), n)
+	e.obs.predHist.ObserveN(predD.Seconds(), n)
+	for i := 0; i < len(ws.jobs); {
+		enq, k := ws.jobs[i].enq, i+1
+		for k < len(ws.jobs) && ws.jobs[k].enq.Equal(enq) {
+			k++
+		}
+		e.obs.totalHist.ObserveN(end.Sub(enq).Seconds(), uint64(k-i))
+		i = k
 	}
-	//lint:ignore virtclock stage timings for /metrics histograms are wall time by design
-	totalD := time.Since(j.enq)
+	e.obs.requests.Add(n)
 
-	if tr := e.cfg.Tracer; tr.Enabled() {
-		// The engine measures stages with its own monotonic stopwatch;
-		// anchor the spans on the tracer clock ending now.
-		end := tr.Now()
-		reqID := tr.RecordSpan("serve", "request", "id="+j.req.ID+" class="+label, 0, end-totalD, totalD)
-		tr.RecordSpan("serve", "queue", "", reqID, end-totalD, queueD)
-		tr.RecordSpan("serve", "normalize", "", reqID, end-normD-predD, normD)
-		tr.RecordSpan("serve", "predict", "", reqID, end-predD, predD)
+	// The engine measures stages on its own clock; a tracer's spans are
+	// anchored on the tracer clock ending now.
+	tr := e.cfg.Tracer
+	traced, trEnd := tr.Enabled(), tr.Now()
+	classes := m.bp.Classes()
+	for bi, j := range ws.jobs {
+		label := classes[ws.idx[bi]]
+		sev, cause := ParseClass(label)
+		*j.res = Result{ID: j.req.ID, Class: label, Severity: sev, Cause: cause}
+		if exp := ws.exp[bi]; exp != nil {
+			j.res.Explain, j.res.Rule = exp, exp.Rule()
+		}
+		if !traced {
+			continue
+		}
+		queueD, totalD := ws.dequeued.Sub(j.enq), end.Sub(j.enq)
+		reqID := tr.RecordSpan("serve", "request", "id="+j.req.ID+" class="+label, 0, trEnd-totalD, totalD)
+		tr.RecordSpan("serve", "queue", "", reqID, trEnd-totalD, queueD)
+		tr.RecordSpan("serve", "normalize", "", reqID, trEnd-normD-predD, normD)
+		tr.RecordSpan("serve", "predict", "", reqID, trEnd-predD, predD)
 		tid := strconv.FormatUint(uint64(reqID), 16)
 		j.res.TraceID = tid
-		e.obs.queueHist.ObserveExemplar(queueD.Seconds(), tid)
-		e.obs.normHist.ObserveExemplar(normD.Seconds(), tid)
-		e.obs.predHist.ObserveExemplar(predD.Seconds(), tid)
-		e.obs.totalHist.ObserveExemplar(totalD.Seconds(), tid)
-	} else {
-		e.obs.queueHist.Observe(queueD.Seconds())
-		e.obs.normHist.Observe(normD.Seconds())
-		e.obs.predHist.Observe(predD.Seconds())
-		e.obs.totalHist.Observe(totalD.Seconds())
+		e.obs.queueHist.SetExemplar(queueD.Seconds(), tid)
+		e.obs.normHist.SetExemplar(normD.Seconds(), tid)
+		e.obs.predHist.SetExemplar(predD.Seconds(), tid)
+		e.obs.totalHist.SetExemplar(totalD.Seconds(), tid)
 	}
-	e.obs.requests.Inc()
 }
 
 // complete invokes the job's done callback, swallowing a panic from

@@ -27,7 +27,9 @@
 # bulk-wide row (358 features, 10 read) and a bulk-narrow one (the 10
 # alone). The handler set (serve.http) times one in-process /diagnose
 # body per iteration, decode, engine and encode included: 8 wide rows
-# or 100 narrow ones, with ns/row beside ns/op.
+# or 100 narrow ones, with ns/row beside ns/op. Beside it, the engine
+# bench (serve.engine) sends the same 100 narrow rows, decoded once
+# before the timer, through DiagnoseBatch alone.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +39,7 @@ INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPr
 LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
 SCAN_BENCHES='BenchmarkScanWide|BenchmarkScanNarrow'
-HANDLER_BENCHES='BenchmarkDiagnoseHandlerWide|BenchmarkDiagnoseHandlerNarrow'
+HANDLER_BENCHES='BenchmarkDiagnoseHandlerWide|BenchmarkDiagnoseHandlerNarrow|BenchmarkEngineBatchNarrow'
 BASELINE=reports/BENCH.json
 MODE="${1:-run}"
 
