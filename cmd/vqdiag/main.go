@@ -7,9 +7,7 @@
 //	       [-strict] [-explain] [-log-format text|json]
 //
 // -model accepts vqtrain's JSON or the binary snapshot written by
-// vqtrain -emit-snapshot (loaded in one sequential read, tree or
-// forest). -explain requires a tree model: an ensemble vote has no
-// single decision path.
+// vqtrain -emit-snapshot (loaded in one sequential read).
 //
 // The input CSV uses the same format vqlab writes and is streamed row
 // by row (it never has to fit in memory); if its class column is
@@ -17,9 +15,9 @@
 // full per-class precision/recall breakdown). The CSV header is
 // validated against the model's feature schema before any row is
 // classified: sharing no features with the model is a hard error, and
-// partially missing features warn (or fail, with -strict). With
-// -parallel > 1 rows are classified concurrently through the serving
-// engine; output order stays identical to the input. With -explain,
+// partially missing features warn (or fail, with -strict). Rows are
+// classified through the serving engine with -parallel shards; output
+// is identical to the input order for any -parallel. With -explain,
 // each prediction is followed by the decision rule that produced it
 // ("root cause = X because f=v > t ∧ ..."). Diagnostics go to stderr
 // through log/slog; -log-format json emits them as JSON objects.
@@ -34,14 +32,19 @@ import (
 
 	"vqprobe"
 	"vqprobe/internal/buildinfo"
-	"vqprobe/internal/metrics"
 	"vqprobe/internal/ml"
-	"vqprobe/internal/serve"
 )
 
-// chunkRows bounds memory with -parallel: rows are classified and
-// printed in chunks of this size.
+// chunkRows bounds memory: rows are classified and printed in chunks of
+// this size.
 const chunkRows = 512
+
+// options are vqdiag's classification flags.
+type options struct {
+	model, in                         string
+	parallel                          int
+	confusion, quiet, strict, explain bool
+}
 
 func fatalf(format string, args ...any) {
 	slog.Error(fmt.Sprintf(format, args...))
@@ -49,16 +52,17 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
+	var o options
+	flag.StringVar(&o.model, "model", "model.json", "trained model: vqtrain JSON or binary snapshot")
+	flag.StringVar(&o.in, "in", "", "sessions CSV to diagnose (required)")
+	flag.BoolVar(&o.confusion, "confusion", false, "print the full confusion summary")
+	flag.BoolVar(&o.quiet, "quiet", false, "suppress per-session lines")
+	flag.IntVar(&o.parallel, "parallel", 1, "parallel classification workers (0 = NumCPU)")
+	flag.BoolVar(&o.strict, "strict", false, "fail if any model feature is absent from the CSV header")
+	flag.BoolVar(&o.explain, "explain", false, "print the decision rule behind each prediction")
 	var (
-		modelPath = flag.String("model", "model.json", "trained model: vqtrain JSON or binary snapshot")
-		in        = flag.String("in", "", "sessions CSV to diagnose (required)")
-		confusion = flag.Bool("confusion", false, "print the full confusion summary")
-		quiet     = flag.Bool("quiet", false, "suppress per-session lines")
-		parallel  = flag.Int("parallel", 1, "parallel classification workers (0 = NumCPU)")
-		strict    = flag.Bool("strict", false, "fail if any model feature is absent from the CSV header")
-		explain   = flag.Bool("explain", false, "print the decision rule behind each prediction")
-		logFmt    = flag.String("log-format", "text", "diagnostic log format: text or json")
-		version   = flag.Bool("version", false, "print version and exit")
+		logFmt  = flag.String("log-format", "text", "diagnostic log format: text or json")
+		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
 	if *version {
@@ -74,34 +78,38 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vqdiag: unknown -log-format %q (want text or json)\n", *logFmt)
 		os.Exit(2)
 	}
-	if *in == "" {
+	if o.in == "" {
 		fmt.Fprintln(os.Stderr, "vqdiag: -in is required")
 		os.Exit(2)
 	}
-
-	cm, err := vqprobe.LoadServingModel(*modelPath)
-	if err != nil {
+	if err := diagnose(o, os.Stdout); err != nil {
 		fatalf("%v", err)
 	}
+}
 
-	df, err := os.Open(*in)
+// diagnose classifies every row of o.in through an engine with
+// o.parallel shards and writes the per-session lines and the accuracy
+// summary to w.
+func diagnose(o options, w io.Writer) error {
+	cm, err := vqprobe.LoadServingModel(o.model)
 	if err != nil {
-		fatalf("%v", err)
+		return err
+	}
+	df, err := os.Open(o.in)
+	if err != nil {
+		return err
 	}
 	defer df.Close()
 	stream, err := ml.NewCSVStream(df)
 	if err != nil {
-		fatalf("%s: %v", *in, err)
+		return fmt.Errorf("%s: %w", o.in, err)
 	}
-	validateSchema(cm.Schema(), stream.Features(), *strict)
+	if err := validateSchema(cm.Schema(), stream.Features(), o.strict); err != nil {
+		return err
+	}
 
-	// parallel == 1 classifies inline; anything else goes through the
-	// sharded serving engine in bounded chunks, preserving row order.
-	var eng *vqprobe.Engine
-	if *parallel != 1 {
-		eng = vqprobe.NewEngine(cm, vqprobe.EngineConfig{Shards: *parallel})
-		defer eng.Close()
-	}
+	eng := vqprobe.NewEngine(cm, vqprobe.EngineConfig{Shards: o.parallel})
+	defer eng.Close()
 
 	conf := ml.NewConfusion(nil)
 	rows, labeled, failed := 0, 0, 0
@@ -109,39 +117,19 @@ func main() {
 	classes := make([]string, 0, chunkRows)
 
 	flush := func() {
-		var results []vqprobe.ServeResult
-		if eng != nil {
-			results = eng.DiagnoseBatch(reqs)
-		} else {
-			results = make([]vqprobe.ServeResult, len(reqs))
-			for i := range reqs {
-				// Mirror the engine's schema validation: a literal "NaN"
-				// or "Inf" cell would otherwise be indistinguishable from
-				// a missing value and silently fall through tree branches.
-				if err := serve.ValidateFeatures(reqs[i].Features); err != nil {
-					results[i] = vqprobe.ServeResult{ID: reqs[i].ID, Err: err.Error()}
-					continue
-				}
-				if *explain {
-					results[i] = cm.DiagnoseExplain(metrics.Vector(reqs[i].Features))
-				} else {
-					results[i] = cm.Diagnose(metrics.Vector(reqs[i].Features))
-				}
-			}
-		}
-		for i, res := range results {
+		for i, res := range eng.DiagnoseBatch(reqs) {
 			idx := rows - len(reqs) + i
 			if res.Err != "" {
 				failed++
-				if !*quiet {
-					fmt.Printf("session %4d: error=%s\n", idx, res.Err)
+				if !o.quiet {
+					fmt.Fprintf(w, "session %4d: error=%s\n", idx, res.Err)
 				}
 				continue
 			}
-			if !*quiet {
-				fmt.Printf("session %4d: predicted=%-20s actual=%s\n", idx, res.Class, classes[i])
-				if *explain && res.Rule != "" {
-					fmt.Printf("              %s\n", res.Rule)
+			if !o.quiet {
+				fmt.Fprintf(w, "session %4d: predicted=%-20s actual=%s\n", idx, res.Class, classes[i])
+				if o.explain && res.Rule != "" {
+					fmt.Fprintf(w, "              %s\n", res.Rule)
 				}
 			}
 			if classes[i] != "" {
@@ -159,9 +147,9 @@ func main() {
 			break
 		}
 		if err != nil {
-			fatalf("%s: %v", *in, err)
+			return fmt.Errorf("%s: %w", o.in, err)
 		}
-		reqs = append(reqs, vqprobe.ServeRequest{ID: fmt.Sprint(rows), Features: fv, Explain: *explain})
+		reqs = append(reqs, vqprobe.ServeRequest{ID: fmt.Sprint(rows), Features: fv, Explain: o.explain})
 		classes = append(classes, class)
 		rows++
 		if len(reqs) == chunkRows {
@@ -171,24 +159,25 @@ func main() {
 	flush()
 
 	if rows == 0 {
-		fatalf("%s has no data rows", *in)
+		return fmt.Errorf("%s has no data rows", o.in)
 	}
 	if failed == rows {
-		fatalf("all %d rows failed to classify", rows)
+		return fmt.Errorf("all %d rows failed to classify", rows)
 	}
 	if labeled > 0 {
-		fmt.Printf("accuracy: %.1f%% over %d labeled sessions\n", conf.Accuracy()*100, labeled)
-		if *confusion {
-			fmt.Print(conf.String())
+		fmt.Fprintf(w, "accuracy: %.1f%% over %d labeled sessions\n", conf.Accuracy()*100, labeled)
+		if o.confusion {
+			fmt.Fprint(w, conf.String())
 		}
 	}
+	return nil
 }
 
 // validateSchema checks the CSV header against the model's feature
 // schema before any row is classified: zero overlap means the wrong
 // file and is always fatal; a partial mismatch is treated as missing
 // values (the paper's reduced-deployment scenarios) unless -strict.
-func validateSchema(schema, header []string, strict bool) {
+func validateSchema(schema, header []string, strict bool) error {
 	have := make(map[string]bool, len(header))
 	for _, f := range header {
 		have[f] = true
@@ -200,17 +189,18 @@ func validateSchema(schema, header []string, strict bool) {
 		}
 	}
 	if len(missing) == 0 {
-		return
+		return nil
 	}
 	if len(missing) == len(schema) {
-		fatalf("input shares no features with the model (model expects %d features, e.g. %s); wrong CSV or wrong model?",
+		return fmt.Errorf("input shares no features with the model (model expects %d features, e.g. %s); wrong CSV or wrong model?",
 			len(schema), exampleList(schema))
 	}
 	if strict {
-		fatalf("%d of %d model features absent from input: %s", len(missing), len(schema), exampleList(missing))
+		return fmt.Errorf("%d of %d model features absent from input: %s", len(missing), len(schema), exampleList(missing))
 	}
 	slog.Warn("model features absent from input (treated as missing values)",
 		"missing", len(missing), "schema", len(schema), "examples", exampleList(missing))
+	return nil
 }
 
 // exampleList renders up to four names of a feature list.

@@ -173,8 +173,7 @@ func main() {
 	})
 	info := model.Info()
 	logger.Info("serving",
-		"task", model.Task(), "model", info.Kind, "trees", info.Trees,
-		"nodes", info.Nodes, "load_ms", info.LoadMillis,
+		"task", model.Task(), "nodes", info.Nodes, "load_ms", info.LoadMillis,
 		"features", len(model.Schema()), "classes", len(model.Classes()),
 		"addr", *addr, "tracing", tracer != nil)
 
@@ -329,7 +328,7 @@ func watchModel(eng *serve.Engine, logger *slog.Logger, path string, every time.
 		eng.Reload(m)
 		info := m.Info()
 		logger.Info("hot-reloaded model",
-			"model", info.Kind, "nodes", info.Nodes, "snapshot", info.SnapshotHash,
+			"nodes", info.Nodes, "snapshot", info.SnapshotHash,
 			"load_ms", info.LoadMillis, "features", len(m.Schema()), "classes", len(m.Classes()))
 	}
 }

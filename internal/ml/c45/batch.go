@@ -1,10 +1,6 @@
 package c45
 
-import (
-	"fmt"
-
-	"vqprobe/internal/parallel"
-)
+import "fmt"
 
 // Batch inference over the branch-free struct-of-arrays node layout.
 //
@@ -31,29 +27,11 @@ import (
 // makes the hot path allocation-free. Not safe for concurrent use —
 // pool one per worker.
 type BatchScratch struct {
-	// Workers bounds the goroutines fanning per-tree evaluation of a
-	// CompiledForest across internal/parallel. 0 or 1 evaluates trees
-	// serially (the right choice inside an already-sharded serving
-	// worker); negative selects GOMAXPROCS. Single-tree batches ignore
-	// it. Any value produces bit-identical predictions: per-tree
-	// contributions land in disjoint slots and are reduced serially in
-	// tree order.
-	Workers int
-
 	head  []int32   // per node: first pending entry, -1 when empty
 	erow  []int32   // per entry: matrix row
 	enext []int32   // per entry: next entry pending at the same node
 	ew    []float64 // per entry: fractional instance weight
 	acc   []float64 // per row: class accumulator (rows × classes)
-
-	f *forestScratch
-}
-
-// forestScratch extends a BatchScratch for ensemble evaluation.
-type forestScratch struct {
-	ws      []BatchScratch // per-worker tree scratch
-	contrib []float64      // per tree: rows × classes vote contribution
-	votes   []float64      // rows × classes reduced votes
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -173,102 +151,18 @@ func (ct *CompiledTree) PredictBatchIdx(m *Matrix, s *BatchScratch, out []int32)
 	}
 }
 
-func (s *BatchScratch) forest(workers int) *forestScratch {
-	if s.f == nil {
-		s.f = &forestScratch{}
-	}
-	if len(s.f.ws) < workers {
-		s.f.ws = make([]BatchScratch, workers)
-	}
-	return s.f
-}
-
-// PredictBatchIdx classifies every matrix row through the ensemble,
-// writing forest class indices (into Classes()) to out, which must
-// have at least m.Rows() slots. Per-tree batch evaluation fans out
-// across s.Workers goroutines; votes are reduced serially in tree
-// order, so predictions are bit-identical to PredictRow for any worker
-// count.
-func (cf *CompiledForest) PredictBatchIdx(m *Matrix, s *BatchScratch, out []int32) {
-	rows := m.Rows()
-	nc := len(cf.classes)
-	trees := len(cf.trees)
-	workers := s.Workers
-	if workers == 0 {
-		workers = 1
-	} else if workers < 0 {
-		workers = 0 // parallel.Workers: GOMAXPROCS
-	}
-	workers = parallel.Workers(workers, trees)
-	fs := s.forest(workers)
-
-	fs.contrib = growF64(fs.contrib, trees*rows*nc)
-	for i := range fs.contrib {
-		fs.contrib[i] = 0
-	}
-	parallel.ForWorker(trees, workers, func(w, t int) {
-		ws := &fs.ws[w]
-		ct := cf.trees[t]
-		tnc := len(ct.classes)
-		ct.predictBatchAcc(m, ws)
-		contrib := fs.contrib[t*rows*nc : (t+1)*rows*nc]
-		cmap := cf.classMap[t]
-		for r := 0; r < rows; r++ {
-			a := ws.acc[r*tnc : (r+1)*tnc]
-			var sum float64
-			for _, v := range a {
-				sum += v
-			}
-			if sum <= 0 {
-				continue // mirrors PredictRow: a no-mass tree casts no vote
-			}
-			row := contrib[r*nc : (r+1)*nc]
-			for c, v := range a {
-				row[cmap[c]] += v / sum
-			}
-		}
-	})
-
-	// Serial reduction in tree order: the same vote-accumulation order
-	// as the scalar loop (classes untouched by a tree contribute an
-	// exact +0.0, which cannot perturb the sum).
-	fs.votes = growF64(fs.votes, rows*nc)
-	for i := range fs.votes {
-		fs.votes[i] = 0
-	}
-	for t := 0; t < trees; t++ {
-		contrib := fs.contrib[t*rows*nc : (t+1)*rows*nc]
-		for i, v := range contrib {
-			fs.votes[i] += v
-		}
-	}
-	for r := 0; r < rows; r++ {
-		votes := fs.votes[r*nc : (r+1)*nc]
-		best, bi := -1.0, 0
-		for i, v := range votes {
-			if v > best {
-				best, bi = v, i
-			}
-		}
-		out[r] = int32(bi)
-	}
-}
-
-// BatchPredictor is the uniform serving surface of CompiledTree and
-// CompiledForest: schema-keyed matrix construction, scalar row
+// BatchPredictor is the serving surface of a CompiledTree:
+// schema-keyed matrix construction, scalar and explained row
 // prediction, and allocation-free batch prediction. serve.Model holds
-// one without caring which ensemble shape backs it.
+// one; tests substitute a fake to poison the batch sweep.
 type BatchPredictor interface {
 	Schema() []string
 	Classes() []string
 	Nodes() int
-	Trees() int
 	NewMatrix(capacity int) *Matrix
 	PredictRow(row []float64) string
+	PredictRowExplain(row []float64) *Explanation
 	PredictBatchIdx(m *Matrix, s *BatchScratch, out []int32)
 }
 
-var (
-	_ BatchPredictor = (*CompiledTree)(nil)
-	_ BatchPredictor = (*CompiledForest)(nil)
-)
+var _ BatchPredictor = (*CompiledTree)(nil)

@@ -10,8 +10,8 @@ import (
 
 // fillMatrix appends every dataset instance to a fresh matrix sized for
 // roughly half the rows, so the append path exercises grow().
-func fillMatrix(bp BatchPredictor, d *ml.Dataset) *Matrix {
-	m := bp.NewMatrix(len(d.Instances)/2 + 1)
+func fillMatrix(ct *CompiledTree, d *ml.Dataset) *Matrix {
+	m := ct.NewMatrix(len(d.Instances)/2 + 1)
 	for i := range d.Instances {
 		m.AppendVector(d.Instances[i].Features)
 	}
@@ -20,13 +20,13 @@ func fillMatrix(bp BatchPredictor, d *ml.Dataset) *Matrix {
 
 // batchLabels classifies every matrix row in one PredictBatchIdx sweep
 // and maps the class indices to labels.
-func batchLabels(bp BatchPredictor, m *Matrix) []string {
+func batchLabels(ct *CompiledTree, m *Matrix) []string {
 	var s BatchScratch
 	idx := make([]int32, m.Rows())
-	bp.PredictBatchIdx(m, &s, idx)
+	ct.PredictBatchIdx(m, &s, idx)
 	out := make([]string, len(idx))
 	for r, i := range idx {
-		out[r] = bp.Classes()[i]
+		out[r] = ct.Classes()[i]
 	}
 	return out
 }
@@ -70,36 +70,6 @@ func TestPredictBatchBitIdentical(t *testing.T) {
 			m.Row(r, row)
 			if want := ct.PredictRow(row); preds[r] != want {
 				t.Fatalf("miss=%v row %d: batch %q, scalar %q", miss, r, preds[r], want)
-			}
-		}
-	}
-}
-
-// TestForestPredictBatchMatchesScalar checks ensemble batch prediction
-// against both the compiled scalar path and the pointer-tree
-// Forest.Predict, for every fan-out setting.
-func TestForestPredictBatchMatchesScalar(t *testing.T) {
-	d := synthDataset(400, 6, 7, 0.2)
-	f := NewForest(ForestConfig{Trees: 9, Seed: 3, Tree: Config{NoPrune: true}}).TrainForest(d)
-	cf, err := CompileForest(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fillMatrix(cf, d)
-
-	row := make([]float64, len(cf.Schema()))
-	for _, workers := range []int{0, 1, 2, 16, -1} {
-		s := BatchScratch{Workers: workers}
-		idx := make([]int32, m.Rows())
-		cf.PredictBatchIdx(m, &s, idx)
-		for r := 0; r < m.Rows(); r++ {
-			m.Row(r, row)
-			want := cf.PredictRow(row)
-			if got := cf.Classes()[idx[r]]; got != want {
-				t.Fatalf("workers=%d row %d: batch %q, scalar %q", workers, r, got, want)
-			}
-			if fw := f.Predict(d.Instances[r].Features); fw != want {
-				t.Fatalf("row %d: compiled %q, Forest.Predict %q", r, want, fw)
 			}
 		}
 	}

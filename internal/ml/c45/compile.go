@@ -2,7 +2,6 @@ package c45
 
 import (
 	"fmt"
-	"sort"
 
 	"vqprobe/internal/metrics"
 	"vqprobe/internal/ml"
@@ -64,28 +63,21 @@ type CompiledTree struct {
 	sindex  map[string]int32
 }
 
-// Compile flattens a trained tree using the tree's own feature list as
-// the row schema.
+// Compile flattens a trained tree, using the tree's own feature list
+// as the row schema.
 func Compile(t *Tree) (*CompiledTree, error) {
-	return CompileWithSchema(t, t.features)
-}
-
-// CompileWithSchema flattens a trained tree against an external feature
-// schema (e.g. the union schema of a forest). Every feature the tree
-// splits on must appear in the schema.
-func CompileWithSchema(t *Tree, schema []string) (*CompiledTree, error) {
 	if t == nil || t.root == nil {
 		return nil, fmt.Errorf("c45: compiling an untrained tree")
 	}
-	sidx := make(map[string]int32, len(schema))
-	for i, f := range schema {
+	sidx := make(map[string]int32, len(t.features))
+	for i, f := range t.features {
 		if _, dup := sidx[f]; dup {
 			return nil, fmt.Errorf("c45: duplicate feature %q in schema", f)
 		}
 		sidx[f] = int32(i)
 	}
 	ct := &CompiledTree{
-		schema:  append([]string{}, schema...),
+		schema:  append([]string{}, t.features...),
 		classes: append([]string{}, t.classes...),
 		sindex:  sidx,
 	}
@@ -110,9 +102,8 @@ func (ct *CompiledTree) emit(t *Tree, n *node) (int32, error) {
 		ct.dists = append(ct.dists, n.dist...)
 		return at, nil
 	}
-	fidx, ok := ct.sindex[t.features[n.feature]]
-	if !ok {
-		return 0, fmt.Errorf("c45: split feature %q missing from schema", t.features[n.feature])
+	if n.feature >= len(t.features) {
+		return 0, fmt.Errorf("c45: node splits on feature %d of %d", n.feature, len(t.features))
 	}
 	left, err := ct.emit(t, n.left)
 	if err != nil {
@@ -122,7 +113,7 @@ func (ct *CompiledTree) emit(t *Tree, n *node) (int32, error) {
 	if err != nil {
 		return 0, err
 	}
-	ct.nodes.feature[at] = fidx
+	ct.nodes.feature[at] = int32(n.feature)
 	ct.nodes.threshold[at] = n.threshold
 	ct.nodes.leftFrac[at] = n.leftFrac
 	ct.nodes.left[at], ct.nodes.right[at] = left, right
@@ -138,10 +129,6 @@ func (ct *CompiledTree) Classes() []string { return ct.classes }
 
 // Nodes returns the flattened node count.
 func (ct *CompiledTree) Nodes() int { return ct.nodes.len() }
-
-// Trees returns 1: a CompiledTree is a single-member ensemble to
-// callers holding a BatchPredictor.
-func (ct *CompiledTree) Trees() int { return 1 }
 
 // FeatureIndex returns the row index of a feature, or -1.
 func (ct *CompiledTree) FeatureIndex(name string) int {
@@ -232,121 +219,4 @@ func (ct *CompiledTree) PredictRow(row []float64) string {
 	acc := make([]float64, len(ct.classes))
 	ct.classifyRow(row, acc)
 	return ct.classes[majority(acc)]
-}
-
-// CompiledForest is the flat serving form of a bagged Forest: every
-// tree compiled against the union feature schema, with tree-local class
-// indices pre-mapped onto the forest's class list.
-type CompiledForest struct {
-	schema   []string
-	classes  []string
-	trees    []*CompiledTree
-	classMap [][]int32
-}
-
-// CompileForest flattens a trained forest.
-func CompileForest(f *Forest) (*CompiledForest, error) {
-	if f == nil || len(f.trees) == 0 {
-		return nil, fmt.Errorf("c45: compiling an untrained forest")
-	}
-	seen := map[string]bool{}
-	for _, t := range f.trees {
-		for _, feat := range t.features {
-			seen[feat] = true
-		}
-	}
-	schema := make([]string, 0, len(seen))
-	for feat := range seen {
-		schema = append(schema, feat)
-	}
-	sort.Strings(schema)
-
-	fidx := make(map[string]int32, len(f.classes))
-	for i, c := range f.classes {
-		fidx[c] = int32(i)
-	}
-	cf := &CompiledForest{schema: schema, classes: append([]string{}, f.classes...)}
-	for _, t := range f.trees {
-		ct, err := CompileWithSchema(t, schema)
-		if err != nil {
-			return nil, err
-		}
-		cmap := make([]int32, len(t.classes))
-		for i, c := range t.classes {
-			gi, ok := fidx[c]
-			if !ok {
-				return nil, fmt.Errorf("c45: tree class %q unknown to forest", c)
-			}
-			cmap[i] = gi
-		}
-		cf.trees = append(cf.trees, ct)
-		cf.classMap = append(cf.classMap, cmap)
-	}
-	return cf, nil
-}
-
-// Schema returns the union row layout (do not mutate).
-func (cf *CompiledForest) Schema() []string { return cf.schema }
-
-// Classes returns the forest's class labels in index order (do not
-// mutate).
-func (cf *CompiledForest) Classes() []string { return cf.classes }
-
-// Trees returns the ensemble size.
-func (cf *CompiledForest) Trees() int { return len(cf.trees) }
-
-// Nodes returns the total flattened node count across the ensemble.
-func (cf *CompiledForest) Nodes() int {
-	n := 0
-	for _, ct := range cf.trees {
-		n += ct.Nodes()
-	}
-	return n
-}
-
-// RowFromVector converts a named feature vector into schema row form.
-func (cf *CompiledForest) RowFromVector(fv metrics.Vector) []float64 {
-	row := make([]float64, len(cf.schema))
-	for i, f := range cf.schema {
-		if v, ok := fv[f]; ok {
-			row[i] = v
-		} else {
-			row[i] = ml.Missing
-		}
-	}
-	return row
-}
-
-// PredictRow mirrors Forest.Predict: probability-weighted vote with
-// deterministic tie-break by class order.
-func (cf *CompiledForest) PredictRow(row []float64) string {
-	votes := make([]float64, len(cf.classes))
-	var acc []float64
-	for ti, ct := range cf.trees {
-		if cap(acc) < len(ct.classes) {
-			acc = make([]float64, len(ct.classes))
-		}
-		acc = acc[:len(ct.classes)]
-		for i := range acc {
-			acc[i] = 0
-		}
-		ct.classifyRow(row, acc)
-		var sum float64
-		for _, v := range acc {
-			sum += v
-		}
-		if sum <= 0 {
-			continue
-		}
-		for c, v := range acc {
-			votes[cf.classMap[ti][c]] += v / sum
-		}
-	}
-	best, bi := -1.0, ""
-	for i, cls := range cf.classes {
-		if votes[i] > best {
-			best, bi = votes[i], cls
-		}
-	}
-	return bi
 }

@@ -131,27 +131,14 @@ func TestCompiledRowReuse(t *testing.T) {
 	}
 }
 
-func TestCompileForest(t *testing.T) {
-	_, d := controlledTree(t)
-	forest := NewForest(ForestConfig{Trees: 7, Seed: 3, Tree: Config{NoPrune: true}}).TrainForest(d)
-	cf, err := CompileForest(forest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i, in := range d.Instances {
-		for _, fv := range []metrics.Vector{in.Features, degrade(in.Features, rng)} {
-			if got, want := cf.PredictRow(cf.RowFromVector(fv)), forest.Predict(fv); got != want {
-				t.Fatalf("instance %d: compiled forest=%q forest=%q", i, got, want)
-			}
-		}
-	}
-}
-
-func TestCompileWithSchemaMissingFeature(t *testing.T) {
-	tree, _ := controlledTree(t)
-	if _, err := CompileWithSchema(tree, []string{"not_a_real_feature"}); err == nil {
-		t.Fatal("expected an error compiling against a schema missing the split features")
+// TestCompileRejectsOutOfRangeSplit: a tree (say, hand-edited JSON)
+// whose node splits on a feature index past its feature list is
+// refused with an error, not a panic.
+func TestCompileRejectsOutOfRangeSplit(t *testing.T) {
+	tr := goldenTree()
+	tr.root.right.feature = len(tr.features)
+	if _, err := Compile(tr); err == nil {
+		t.Fatal("expected an error compiling a split on an out-of-range feature")
 	}
 }
 

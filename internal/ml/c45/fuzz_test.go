@@ -43,8 +43,7 @@ func fuzzTree(f *testing.F) *CompiledTree {
 // FuzzPredictBatch pins batch ≡ scalar over arbitrary row sets: for any
 // mix of finite, NaN, ±Inf, subnormal and huge values — NaN rides the
 // missing-value fork in both evaluators, so parity covers it too — the
-// frontier sweep must classify every row exactly as PredictRow does,
-// and the single-tree forest wrapper must agree as well.
+// frontier sweep must classify every row exactly as PredictRow does.
 func FuzzPredictBatch(f *testing.F) {
 	ct := fuzzTree(f)
 

@@ -25,10 +25,10 @@ func benchCompiledTree(b *testing.B) *CompiledTree {
 	return ct
 }
 
-func benchFillMatrix(b *testing.B, bp BatchPredictor) *Matrix {
+func benchFillMatrix(b *testing.B, ct *CompiledTree) *Matrix {
 	b.Helper()
 	d := synthDataset(benchBatchRows, 12, 78, 0.05)
-	m := bp.NewMatrix(benchBatchRows)
+	m := ct.NewMatrix(benchBatchRows)
 	for i := range d.Instances {
 		m.AppendVector(d.Instances[i].Features)
 	}
@@ -68,48 +68,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-func benchCompiledForest(b *testing.B, trees int) *CompiledForest {
-	b.Helper()
-	d := synthDataset(2000, 12, 79, 0.05)
-	f := NewForest(ForestConfig{Trees: trees, Seed: 7, Tree: Config{NoPrune: true}}).TrainForest(d)
-	cf, err := CompileForest(f)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cf
-}
-
-// BenchmarkForestPredictBatch pushes every row through a 15-tree
-// ensemble serially (the shape inside an already-sharded serving
-// worker); ns/op = ns per row, every tree visited.
-func BenchmarkForestPredictBatch(b *testing.B) {
-	cf := benchCompiledForest(b, 15)
-	m := benchFillMatrix(b, cf)
-	var s BatchScratch
-	idx := make([]int32, m.Rows())
-	cf.PredictBatchIdx(m, &s, idx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += m.Rows() {
-		cf.PredictBatchIdx(m, &s, idx)
-	}
-}
-
-// BenchmarkForestPredictBatchParallel is the same ensemble fanned
-// across all cores via internal/parallel — the vqfleet/-parallel shape.
-func BenchmarkForestPredictBatchParallel(b *testing.B) {
-	cf := benchCompiledForest(b, 15)
-	m := benchFillMatrix(b, cf)
-	s := BatchScratch{Workers: -1}
-	idx := make([]int32, m.Rows())
-	cf.PredictBatchIdx(m, &s, idx)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += m.Rows() {
-		cf.PredictBatchIdx(m, &s, idx)
-	}
-}
-
 // BenchmarkForestPredictVector measures the pointer-forest Predict hot
 // path (vector resolved once per prediction, classifyMapped per tree).
 func BenchmarkForestPredictVector(b *testing.B) {
@@ -124,14 +82,14 @@ func BenchmarkForestPredictVector(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotLoad decodes a 25-tree forest snapshot from memory;
-// ns/op is the full load cost (validation included) for a model of
-// realistic serving size. bench_report.py records it as
+// BenchmarkSnapshotLoad decodes the benchmark tree's snapshot from
+// memory, the only kind served; ns/op is the full load cost
+// (validation included). bench_report.py records it as
 // snapshot_load_ms.
 func BenchmarkSnapshotLoad(b *testing.B) {
-	cf := benchCompiledForest(b, 25)
+	ct := benchCompiledTree(b)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, cf, []byte(`{"task":"bench"}`)); err != nil {
+	if err := WriteSnapshot(&buf, ct, []byte(`{"task":"bench"}`)); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -16,7 +16,7 @@ import (
 // A Matrix is reusable: Reset keeps the buffer and drops the rows, so
 // serving workers pool one Matrix per shard and refill it per drained
 // batch without allocating. It is not safe for concurrent mutation;
-// concurrent reads (e.g. parallel per-tree batch evaluation) are fine.
+// concurrent reads are fine.
 type Matrix struct {
 	schema []string
 	sindex map[string]int32
@@ -27,7 +27,7 @@ type Matrix struct {
 
 // NewMatrix returns a matrix over the given schema with row capacity
 // for at least capacity rows. The schema slice is aliased, not copied —
-// pass CompiledTree.Schema()/CompiledForest.Schema() directly.
+// pass CompiledTree.Schema() directly.
 func NewMatrix(schema []string, capacity int) *Matrix {
 	if capacity < 1 {
 		capacity = 1
@@ -48,12 +48,6 @@ func NewMatrix(schema []string, capacity int) *Matrix {
 // schema.
 func (ct *CompiledTree) NewMatrix(capacity int) *Matrix {
 	return NewMatrix(ct.schema, capacity)
-}
-
-// NewMatrix returns a pooled-fill matrix laid out for the forest's
-// union schema.
-func (cf *CompiledForest) NewMatrix(capacity int) *Matrix {
-	return NewMatrix(cf.schema, capacity)
 }
 
 // Schema returns the column layout (do not mutate).

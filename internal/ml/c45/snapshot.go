@@ -9,7 +9,7 @@ import (
 	"os"
 )
 
-// Versioned binary snapshot format for compiled models.
+// Versioned binary snapshot format for compiled trees.
 //
 // The JSON model file (vqtrain's output) re-parses and re-compiles the
 // whole tree on every load, so vqserve's reload cost grows with model
@@ -25,7 +25,8 @@ import (
 //	8       4     version (currently 1)
 //	12      4     endianness marker 0x0A0B0C0D — reads back wrong on a
 //	              big-endian writer/reader mismatch
-//	16      1     kind: 1 = CompiledTree, 2 = CompiledForest
+//	16      1     kind: 1 = CompiledTree. Kind 2 was a bagged forest;
+//	              forests are not served, so the reader refuses it
 //	17      3     reserved (zero)
 //	20      4     meta length, then meta bytes (opaque caller blob,
 //	              e.g. vqprobe's task/normalization JSON)
@@ -36,11 +37,13 @@ import (
 //	              including the meta blob — fails the checksum
 //	...     —     payload
 //
-// Payload: schema strings, global class strings, tree count, then per
-// tree its class table (indices into the global classes — this doubles
-// as the forest vote classMap), the six int32 node arrays, the three
-// float64 node arrays, and the leaf distribution pool. Strings are
-// uint32-length-prefixed UTF-8.
+// Payload: schema strings, class strings, the tree count (always 1),
+// the tree's class table (indices into the class strings, always the
+// identity), the six int32 node arrays, the three float64 node arrays,
+// and the leaf distribution pool. Strings are uint32-length-prefixed
+// UTF-8. The tree count and class table are what kind 2 needed; tree
+// snapshots keep them so files written before forests were dropped
+// still load, byte for byte.
 //
 // Compatibility rule: the version bumps on any layout change; readers
 // reject versions they don't know. The CRC covers the whole file
@@ -107,7 +110,11 @@ func (e *senc) f64s(vs []float64) {
 	}
 }
 
-func (e *senc) tree(ct *CompiledTree, classIdx []int32) {
+func (e *senc) tree(ct *CompiledTree) {
+	classIdx := make([]int32, len(ct.classes))
+	for i := range classIdx {
+		classIdx[i] = int32(i)
+	}
 	e.i32s(classIdx)
 	nd := &ct.nodes
 	e.i32s(nd.feature)
@@ -122,46 +129,29 @@ func (e *senc) tree(ct *CompiledTree, classIdx []int32) {
 	e.f64s(ct.dists)
 }
 
-// WriteSnapshot serializes a compiled model (a *CompiledTree or
-// *CompiledForest) plus an opaque caller meta blob. The written bytes
-// round-trip through ReadSnapshot to a model whose predictions are
-// bit-identical to the original's.
+// WriteSnapshot serializes a compiled tree plus an opaque caller meta
+// blob. The written bytes round-trip through ReadSnapshot to a tree
+// whose predictions are bit-identical to the original's.
 //
 //lint:deterministic snapshot bytes are content-addressed; identical models must write identical bytes
-func WriteSnapshot(w io.Writer, model BatchPredictor, meta []byte) error {
+func WriteSnapshot(w io.Writer, ct *CompiledTree, meta []byte) error {
+	if ct == nil {
+		return fmt.Errorf("c45: cannot snapshot a nil tree")
+	}
 	if len(meta) > snapMaxMeta {
 		return fmt.Errorf("c45: snapshot meta %d bytes exceeds the %d limit", len(meta), snapMaxMeta)
 	}
-	var kind byte
 	var payload senc
-	switch m := model.(type) {
-	case *CompiledTree:
-		kind = snapKindTree
-		payload.strs(m.schema)
-		payload.strs(m.classes)
-		payload.u32(1)
-		classIdx := make([]int32, len(m.classes))
-		for i := range classIdx {
-			classIdx[i] = int32(i)
-		}
-		payload.tree(m, classIdx)
-	case *CompiledForest:
-		kind = snapKindForest
-		payload.strs(m.schema)
-		payload.strs(m.classes)
-		payload.u32(uint32(len(m.trees)))
-		for ti, ct := range m.trees {
-			payload.tree(ct, m.classMap[ti])
-		}
-	default:
-		return fmt.Errorf("c45: cannot snapshot model type %T", model)
-	}
+	payload.strs(ct.schema)
+	payload.strs(ct.classes)
+	payload.u32(1)
+	payload.tree(ct)
 
 	var hdr senc
 	hdr.b = append(hdr.b, snapMagic...)
 	hdr.u32(snapVersion)
 	hdr.u32(snapEndian)
-	hdr.b = append(hdr.b, kind, 0, 0, 0)
+	hdr.b = append(hdr.b, snapKindTree, 0, 0, 0)
 	hdr.u32(uint32(len(meta)))
 	hdr.b = append(hdr.b, meta...)
 	hdr.u64(uint64(len(payload.b)))
@@ -278,9 +268,9 @@ func (d *sdec) f64s() []float64 {
 	return vs
 }
 
-// tree decodes and validates one compiled tree against the shared
-// schema and global class table, returning the tree and its class map.
-func (d *sdec) tree(schema []string, classes []string, sindex map[string]int32) (*CompiledTree, []int32) {
+// tree decodes and validates the compiled tree against the schema and
+// class table decoded before it.
+func (d *sdec) tree(schema []string, classes []string, sindex map[string]int32) *CompiledTree {
 	classIdx := d.i32s()
 	nd := nodeArrays{
 		feature:   d.i32s(),
@@ -295,13 +285,17 @@ func (d *sdec) tree(schema []string, classes []string, sindex map[string]int32) 
 	}
 	dists := d.f64s()
 	if d.err != nil {
-		return nil, nil
+		return nil
 	}
 
+	if len(classIdx) != len(classes) {
+		d.fail("tree class map has %d entries for %d classes", len(classIdx), len(classes))
+		return nil
+	}
 	for i, gi := range classIdx {
-		if gi < 0 || int(gi) >= len(classes) {
-			d.fail("tree class %d maps to global class %d of %d", i, gi, len(classes))
-			return nil, nil
+		if int(gi) != i {
+			d.fail("tree class map is not the identity")
+			return nil
 		}
 	}
 	nn := len(nd.feature)
@@ -309,54 +303,51 @@ func (d *sdec) tree(schema []string, classes []string, sindex map[string]int32) 
 		len(nd.distOff) != nn || len(nd.distLen) != nn ||
 		len(nd.threshold) != nn || len(nd.leftFrac) != nn || len(nd.total) != nn {
 		d.fail("node array lengths disagree")
-		return nil, nil
+		return nil
 	}
 	if nn == 0 {
 		d.fail("tree has no nodes")
-		return nil, nil
+		return nil
 	}
 	nc := len(classIdx)
 	for i := 0; i < nn; i++ {
 		if f := nd.feature[i]; f < 0 { // leaf
 			if c := nd.class[i]; c < 0 || int(c) >= nc {
 				d.fail("node %d: class %d of %d", i, c, nc)
-				return nil, nil
+				return nil
 			}
 			off, ln := nd.distOff[i], nd.distLen[i]
 			if off < 0 || ln < 0 || int(ln) > nc || int64(off)+int64(ln) > int64(len(dists)) {
 				d.fail("node %d: dist window [%d,%d) of %d", i, off, off+ln, len(dists))
-				return nil, nil
+				return nil
 			}
 		} else { // internal: children must point strictly forward (preorder)
 			if int(f) >= len(schema) {
 				d.fail("node %d: feature %d of %d", i, f, len(schema))
-				return nil, nil
+				return nil
 			}
 			l, r := nd.left[i], nd.right[i]
 			if l <= int32(i) || r <= int32(i) || int(l) >= nn || int(r) >= nn {
 				d.fail("node %d: children %d,%d violate preorder in %d nodes", i, l, r, nn)
-				return nil, nil
+				return nil
 			}
 		}
 	}
 
-	treeClasses := make([]string, nc)
-	for i, gi := range classIdx {
-		treeClasses[i] = classes[gi]
-	}
 	return &CompiledTree{
 		schema:  schema,
-		classes: treeClasses,
+		classes: classes,
 		nodes:   nd,
 		dists:   dists,
 		sindex:  sindex,
-	}, classIdx
+	}
 }
 
-// ReadSnapshot decodes snapshot bytes into a compiled model plus the
+// ReadSnapshot decodes snapshot bytes into a compiled tree plus the
 // caller meta blob written alongside it. Corrupt, truncated, or
-// version-mismatched input returns an error; it never panics.
-func ReadSnapshot(data []byte) (BatchPredictor, []byte, error) {
+// version-mismatched input and forest snapshots return an error; it
+// never panics.
+func ReadSnapshot(data []byte) (*CompiledTree, []byte, error) {
 	d := &sdec{b: data}
 	if magic := d.take(len(snapMagic)); d.err != nil || string(magic) != snapMagic {
 		return nil, nil, fmt.Errorf("c45: not a model snapshot (bad magic)")
@@ -393,11 +384,20 @@ func ReadSnapshot(data []byte) (BatchPredictor, []byte, error) {
 	if got := crc64.Update(crc64.Checksum(data[:crcOff], snapCRC), snapCRC, payload); got != wantCRC {
 		return nil, nil, fmt.Errorf("c45: corrupt snapshot: checksum %#x, want %#x", got, wantCRC)
 	}
+	switch kind {
+	case snapKindTree:
+	case snapKindForest:
+		return nil, nil, fmt.Errorf("c45: snapshot holds a bagged forest; forest snapshots are not served")
+	default:
+		return nil, nil, fmt.Errorf("c45: corrupt snapshot: unknown model kind %d", kind)
+	}
 
 	p := &sdec{b: payload}
 	schema := p.strs()
 	classes := p.strs()
-	ntrees := p.count(1)
+	if n := p.u32(); p.err == nil && n != 1 {
+		return nil, nil, fmt.Errorf("c45: corrupt snapshot: tree snapshot holds %d trees", n)
+	}
 	if p.err != nil {
 		return nil, nil, p.err
 	}
@@ -408,50 +408,19 @@ func ReadSnapshot(data []byte) (BatchPredictor, []byte, error) {
 		}
 		sindex[f] = int32(i)
 	}
-
-	switch kind {
-	case snapKindTree:
-		if ntrees != 1 {
-			return nil, nil, fmt.Errorf("c45: corrupt snapshot: tree snapshot holds %d trees", ntrees)
-		}
-		ct, classIdx := p.tree(schema, classes, sindex)
-		if p.err != nil {
-			return nil, nil, p.err
-		}
-		for i, gi := range classIdx {
-			if int(gi) != i {
-				return nil, nil, fmt.Errorf("c45: corrupt snapshot: tree snapshot class map is not the identity")
-			}
-		}
-		if p.off != len(payload) {
-			return nil, nil, fmt.Errorf("c45: corrupt snapshot: %d trailing payload bytes", len(payload)-p.off)
-		}
-		return ct, meta, nil
-	case snapKindForest:
-		if ntrees < 1 {
-			return nil, nil, fmt.Errorf("c45: corrupt snapshot: forest snapshot holds no trees")
-		}
-		cf := &CompiledForest{schema: schema, classes: classes}
-		for t := 0; t < ntrees; t++ {
-			ct, classIdx := p.tree(schema, classes, sindex)
-			if p.err != nil {
-				return nil, nil, p.err
-			}
-			cf.trees = append(cf.trees, ct)
-			cf.classMap = append(cf.classMap, classIdx)
-		}
-		if p.off != len(payload) {
-			return nil, nil, fmt.Errorf("c45: corrupt snapshot: %d trailing payload bytes", len(payload)-p.off)
-		}
-		return cf, meta, nil
-	default:
-		return nil, nil, fmt.Errorf("c45: corrupt snapshot: unknown model kind %d", kind)
+	ct := p.tree(schema, classes, sindex)
+	if p.err != nil {
+		return nil, nil, p.err
 	}
+	if p.off != len(payload) {
+		return nil, nil, fmt.Errorf("c45: corrupt snapshot: %d trailing payload bytes", len(payload)-p.off)
+	}
+	return ct, meta, nil
 }
 
 // OpenSnapshot reads a snapshot file in one sequential read and decodes
 // it. See ReadSnapshot.
-func OpenSnapshot(path string) (BatchPredictor, []byte, error) {
+func OpenSnapshot(path string) (*CompiledTree, []byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err

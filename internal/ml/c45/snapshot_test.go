@@ -2,18 +2,23 @@ package c45
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc64"
 	"math"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
 
 // roundTrip writes model to a buffer and reads it back, failing the
 // test on either side.
-func roundTrip(t *testing.T, model BatchPredictor, meta []byte) (BatchPredictor, []byte) {
+func roundTrip(t *testing.T, ct *CompiledTree, meta []byte) (*CompiledTree, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, model, meta); err != nil {
+	if err := WriteSnapshot(&buf, ct, meta); err != nil {
 		t.Fatalf("write snapshot: %v", err)
 	}
 	if !IsSnapshot(buf.Bytes()) {
@@ -35,13 +40,9 @@ func TestSnapshotTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, meta := roundTrip(t, ct, []byte(`{"task":"t"}`))
+	lt, meta := roundTrip(t, ct, []byte(`{"task":"t"}`))
 	if string(meta) != `{"task":"t"}` {
 		t.Fatalf("meta round-trip = %q", meta)
-	}
-	lt, ok := got.(*CompiledTree)
-	if !ok {
-		t.Fatalf("loaded model is %T, want *CompiledTree", got)
 	}
 	if !reflect.DeepEqual(lt.schema, ct.schema) || !reflect.DeepEqual(lt.classes, ct.classes) {
 		t.Fatal("schema or classes changed across the round-trip")
@@ -55,38 +56,6 @@ func TestSnapshotTreeRoundTrip(t *testing.T) {
 	gotPred := batchLabels(lt, m)
 	if !reflect.DeepEqual(want, gotPred) {
 		t.Fatal("loaded tree predictions diverge from the original")
-	}
-}
-
-// TestSnapshotForestRoundTrip covers the ensemble kind, including the
-// per-tree class maps.
-func TestSnapshotForestRoundTrip(t *testing.T) {
-	d := synthDataset(300, 6, 5, 0.15)
-	f := NewForest(ForestConfig{Trees: 7, Seed: 2, Tree: Config{NoPrune: true}}).TrainForest(d)
-	cf, err := CompileForest(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, meta := roundTrip(t, cf, nil)
-	if len(meta) != 0 {
-		t.Fatalf("meta round-trip = %q, want empty", meta)
-	}
-	lf, ok := got.(*CompiledForest)
-	if !ok {
-		t.Fatalf("loaded model is %T, want *CompiledForest", got)
-	}
-	if lf.Trees() != cf.Trees() || lf.Nodes() != cf.Nodes() {
-		t.Fatalf("loaded forest %d trees/%d nodes, want %d/%d", lf.Trees(), lf.Nodes(), cf.Trees(), cf.Nodes())
-	}
-	if !reflect.DeepEqual(lf.classMap, cf.classMap) {
-		t.Fatal("class maps changed across the round-trip")
-	}
-
-	m := fillMatrix(cf, d)
-	want := batchLabels(cf, m)
-	gotPred := batchLabels(lf, m)
-	if !reflect.DeepEqual(want, gotPred) {
-		t.Fatal("loaded forest predictions diverge from the original")
 	}
 }
 
@@ -132,7 +101,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // TestSnapshotWriteErrors covers the writer-side guards.
 func TestSnapshotWriteErrors(t *testing.T) {
 	if err := WriteSnapshot(&bytes.Buffer{}, nil, nil); err == nil {
-		t.Fatal("expected an error snapshotting a nil model")
+		t.Fatal("expected an error snapshotting a nil tree")
 	}
 	d := synthDataset(100, 4, 3, 0)
 	ct, err := Compile(New(Config{}).TrainTree(d))
@@ -234,8 +203,69 @@ func TestSnapshotNaNDistSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := math.Float64bits(got.(*CompiledTree).nodes.threshold[0])
+	b := math.Float64bits(got.nodes.threshold[0])
 	if b != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("threshold bits %#x, want negative zero", b)
+	}
+}
+
+// goldenTree is a fixed hand-built tree: two splits, a leaf with an
+// empty distribution and fractional missing-value weights, so every
+// node array and the distribution pool carry distinct values.
+func goldenTree() *Tree {
+	return &Tree{
+		features: []string{"mobile.rtt", "router.loss", "server.cpu"},
+		classes:  []string{"good", "lan_cong_mild", "lan_cong_severe"},
+		root: &node{
+			feature: 0, threshold: 80.5, leftFrac: 0.625,
+			left: &node{feature: -1, class: 0, dist: []float64{12, 1, 0}},
+			right: &node{
+				feature: 1, threshold: 2.25, leftFrac: 0.4,
+				left:  &node{feature: -1, class: 1, dist: []float64{0.5, 6, 1.5}},
+				right: &node{feature: -1, class: 2, dist: []float64{0, 0, 0}},
+			},
+		},
+	}
+}
+
+// goldenSnapshotSHA256 is the sha256 of goldenTree's snapshot with the
+// meta blob {"task":"golden"}. It pins the on-disk format: a model
+// file written before a change must load after it, and vqtrain must
+// keep writing the same bytes for the same tree.
+const goldenSnapshotSHA256 = "119f1dee9c3c8740fb4f74f3d0e54095b131199e0942241b985e13f0282c8a0c"
+
+func goldenSnapshot(t *testing.T) []byte {
+	t.Helper()
+	ct, err := Compile(goldenTree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, ct, []byte(`{"task":"golden"}`)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestSnapshotGoldenBytes(t *testing.T) {
+	sum := sha256.Sum256(goldenSnapshot(t))
+	if got := hex.EncodeToString(sum[:]); got != goldenSnapshotSHA256 {
+		t.Fatalf("snapshot sha256 %s, want %s: the on-disk format changed", got, goldenSnapshotSHA256)
+	}
+}
+
+// TestSnapshotRefusesForestKind rewrites a tree snapshot's kind byte
+// to 2, the retired forest kind, and recomputes the CRC so only the
+// kind is wrong. The reader must refuse it by name.
+func TestSnapshotRefusesForestKind(t *testing.T) {
+	data := goldenSnapshot(t)
+	data[16] = 2
+	metaLen := int(binary.LittleEndian.Uint32(data[20:]))
+	crcOff := 24 + metaLen + 8
+	crc := crc64.Update(crc64.Checksum(data[:crcOff], snapCRC), snapCRC, data[crcOff+8:])
+	binary.LittleEndian.PutUint64(data[crcOff:], crc)
+	_, _, err := ReadSnapshot(data)
+	if err == nil || !strings.Contains(err.Error(), "forest snapshots are not served") {
+		t.Fatalf("kind-2 snapshot: err = %v, want the forest refusal", err)
 	}
 }

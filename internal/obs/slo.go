@@ -123,14 +123,13 @@ func LoadSLOs(r io.Reader) ([]SLO, error) {
 }
 
 // DefaultServeSLOs returns the stock objectives for a vqserve daemon:
-// availability, p99-style diagnose latency, shed rate and queue
-// timeout rate, against the engine's standard metric names.
+// availability, p99-style diagnose latency and shed rate, against the
+// engine's standard metric names.
 func DefaultServeSLOs() []SLO {
 	return []SLO{
 		{Name: "availability", Bad: "vqserve_errors_total", Total: "vqserve_submitted_total", Objective: 0.999},
 		{Name: "latency", Hist: `vqserve_stage_latency_seconds{stage="total"}`, ThresholdS: 0.25, Objective: 0.999},
 		{Name: "shed", Bad: "vqserve_shed_total", Total: "vqserve_submitted_total", Objective: 0.999},
-		{Name: "timeout", Bad: "vqserve_timeouts_total", Total: "vqserve_submitted_total", Objective: 0.999},
 	}
 }
 

@@ -10,10 +10,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"vqprobe/internal/features"
 	"vqprobe/internal/metrics"
-	"vqprobe/internal/ml"
 	"vqprobe/internal/ml/c45"
 )
 
@@ -151,8 +150,10 @@ type panicPredictor struct {
 func (p *panicPredictor) Schema() []string            { return []string{"mobile.rtt"} }
 func (p *panicPredictor) Classes() []string           { return []string{"good"} }
 func (p *panicPredictor) Nodes() int                  { return 1 }
-func (p *panicPredictor) Trees() int                  { return 1 }
 func (p *panicPredictor) PredictRow([]float64) string { return "good" }
+func (p *panicPredictor) PredictRowExplain([]float64) *c45.Explanation {
+	return &c45.Explanation{Class: "good"}
+}
 func (p *panicPredictor) NewMatrix(capacity int) *c45.Matrix {
 	return c45.NewMatrix([]string{"mobile.rtt"}, capacity)
 }
@@ -168,7 +169,7 @@ func (p *panicPredictor) PredictBatchIdx(*c45.Matrix, *c45.BatchScratch, []int32
 // shard workers alive to serve the next (healthy) model.
 func TestBatchSweepPanicRecovered(t *testing.T) {
 	stub := &panicPredictor{}
-	bad := NewBatchModel("exact", nil, stub)
+	bad := NewModel("exact", nil, stub)
 	e := NewEngine(bad, Config{Shards: 2, MaxBatch: 8})
 	defer e.Close()
 
@@ -202,128 +203,20 @@ func TestBatchSweepPanicRecovered(t *testing.T) {
 	}
 }
 
-// forestModel trains a small bagged forest on the testModel dataset and
-// wraps it as a serving snapshot.
-func forestModel(t testing.TB) *Model {
-	t.Helper()
-	var insts []ml.Instance
-	for rtt := 10.0; rtt <= 200; rtt += 10 {
-		for loss := 0.0; loss <= 10; loss++ {
-			cls := "good"
-			if rtt > 100 {
-				if loss > 5 {
-					cls = "lan_cong_severe"
-				} else {
-					cls = "lan_cong_mild"
-				}
-			}
-			insts = append(insts, ml.Instance{
-				Features: metrics.Vector{"mobile.rtt": rtt, "mobile.loss": loss},
-				Class:    cls,
-			})
-		}
-	}
-	d := ml.NewDataset(insts)
-	constructed, norm := features.Construct(d)
-	f := c45.NewForest(c45.ForestConfig{Trees: 7, Seed: 3}).TrainForest(constructed)
-	cf, err := c45.CompileForest(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewBatchModel("exact", norm, cf)
-}
-
-// TestForestModelServing runs an ensemble snapshot through the full
-// engine: batched classification must match the scalar reference,
-// explain requests answer with a per-request error (a vote has no
-// single path) unless an earlier check already failed them, and
-// /healthz + /metrics expose the forest's identity.
-func TestForestModelServing(t *testing.T) {
-	m := forestModel(t)
-	if info := m.Info(); info.Kind != "forest" || info.Trees != 7 || info.Nodes <= 0 {
-		t.Fatalf("forest ModelInfo wrong: %+v", info)
-	}
-
-	e := NewEngine(m, Config{Shards: 2, MaxBatch: 8})
-	defer e.Close()
-	srv := httptest.NewServer(e.Handler())
-	defer srv.Close()
-
-	var reqs []Request
-	for i := 0; i < 20; i++ {
-		reqs = append(reqs, Request{ID: "f", Features: fv(float64(10+i*10), float64(i%11))})
-	}
-	res := e.DiagnoseBatch(reqs)
-	for i, r := range res {
-		want := refResult(m, reqs[i])
-		if r.Err != "" || r.Class != want.Class || r.Severity != want.Severity || r.Cause != want.Cause {
-			t.Fatalf("forest request %d: got %+v, want %+v", i, r, want)
-		}
-	}
-
-	expReqs := []Request{
-		{ID: "e", Features: fv(150, 7), Explain: true},
-		{ID: "e", Features: map[string]float64{"mobile.rtt": math.NaN()}, Explain: true},
-		{ID: "e", Features: fv(40, 2), Explain: true},
-		{ID: "e", Features: fv(150, 7)},
-	}
-	exp := e.DiagnoseBatch(expReqs)
-	for _, i := range []int{0, 2} {
-		if exp[i].Err != errExplainForest {
-			t.Fatalf("explain %d on forest: got %+v, want error %q", i, exp[i], errExplainForest)
-		}
-	}
-	if want := refResult(m, expReqs[1]).Err; !strings.Contains(want, "non-finite") || exp[1].Err != want {
-		t.Fatalf("NaN explain on forest: got %+v, want error %q", exp[1], want)
-	}
-	if want := refResult(m, expReqs[3]); exp[3].Err != "" || exp[3].Class != want.Class {
-		t.Fatalf("plain row beside forest explains: got %+v, want %+v", exp[3], want)
-	}
-
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		Model ModelInfo `json:"model"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.Model.Kind != "forest" || health.Model.Trees != 7 || health.Model.Nodes != m.Info().Nodes {
-		t.Fatalf("/healthz model section wrong: %+v", health.Model)
-	}
-
-	resp, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	body := string(raw)
-	if got := metricValue(t, body, "vqserve_model_trees"); got != 7 {
-		t.Fatalf("vqserve_model_trees = %v, want 7", got)
-	}
-	if got := metricValue(t, body, "vqserve_model_nodes"); got != float64(m.Info().Nodes) {
-		t.Fatalf("vqserve_model_nodes = %v, want %d", got, m.Info().Nodes)
-	}
-	if !strings.Contains(body, `vqserve_model_info{kind="forest"`) {
-		t.Fatalf("vqserve_model_info identity series missing:\n%.400s", body)
-	}
-}
-
 // TestModelInfoGaugeFollowsReload pins the identity-series handover: a
 // reload lights the new model's vqserve_model_info series and drops the
 // previous one to 0.
 func TestModelInfoGaugeFollowsReload(t *testing.T) {
-	tree := testModel(t, "lan_cong_severe")
-	e := NewEngine(tree, Config{Shards: 1})
+	a := testModel(t, "lan_cong_severe")
+	a.SetProvenance("aaaaaaaaaaaa", time.Millisecond)
+	e := NewEngine(a, Config{Shards: 1})
 	defer e.Close()
 	srv := httptest.NewServer(e.Handler())
 	defer srv.Close()
 
-	e.Reload(forestModel(t))
+	b := testModel(t, "wan_severe")
+	b.SetProvenance("bbbbbbbbbbbb", 2*time.Millisecond)
+	e.Reload(b)
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -331,14 +224,17 @@ func TestModelInfoGaugeFollowsReload(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	body := string(raw)
-	if !strings.Contains(body, `vqserve_model_info{kind="tree",snapshot=""} 0`) {
-		t.Fatalf("stale tree identity not dropped to 0:\n%s", grepLines(body, "vqserve_model_info"))
+	if !strings.Contains(body, `vqserve_model_info{snapshot="aaaaaaaaaaaa"} 0`) {
+		t.Fatalf("stale identity not dropped to 0:\n%s", grepLines(body, "vqserve_model_info"))
 	}
-	if !strings.Contains(body, `vqserve_model_info{kind="forest",snapshot=""} 1`) {
-		t.Fatalf("forest identity not lit:\n%s", grepLines(body, "vqserve_model_info"))
+	if !strings.Contains(body, `vqserve_model_info{snapshot="bbbbbbbbbbbb"} 1`) {
+		t.Fatalf("reloaded identity not lit:\n%s", grepLines(body, "vqserve_model_info"))
 	}
-	if got := metricValue(t, body, "vqserve_model_trees"); got != 7 {
-		t.Fatalf("vqserve_model_trees = %v after reload, want 7", got)
+	if got := metricValue(t, body, "vqserve_model_nodes"); got != float64(b.Info().Nodes) {
+		t.Fatalf("vqserve_model_nodes = %v after reload, want %d", got, b.Info().Nodes)
+	}
+	if got := metricValue(t, body, "vqserve_model_load_seconds"); got != 0.002 {
+		t.Fatalf("vqserve_model_load_seconds = %v after reload, want 0.002", got)
 	}
 }
 

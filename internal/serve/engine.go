@@ -27,17 +27,13 @@ import (
 )
 
 // Model is an immutable serving snapshot: the trained feature-
-// construction scales plus a compiled predictor — a single decision
-// tree or a bagged forest. Engines swap whole snapshots atomically on
-// reload, so a request sees exactly one consistent model.
+// construction scales plus the compiled decision tree. Engines swap
+// whole snapshots atomically on reload, so a request sees exactly one
+// consistent model.
 type Model struct {
 	task string
 	norm *features.Normalizer
 	bp   c45.BatchPredictor
-	// tree is the compiled tree when the predictor is a single one: the
-	// explain path needs the recorded traversal, which an ensemble vote
-	// does not have. Nil for forest models.
-	tree *c45.CompiledTree
 	// plan holds, per schema row, the slots of its feature and divisor
 	// and its construction transform, so normalization touches only the
 	// features the model consults instead of scanning the full raw
@@ -55,11 +51,7 @@ type Model struct {
 // ModelInfo describes the serving snapshot for /healthz and the
 // vqserve_model_* gauges.
 type ModelInfo struct {
-	// Kind is "tree" or "forest".
-	Kind string `json:"kind"`
-	// Trees is the ensemble size (1 for a single tree).
-	Trees int `json:"trees"`
-	// Nodes is the total compiled node count across the ensemble.
+	// Nodes is the compiled tree's node count.
 	Nodes int `json:"nodes"`
 	// SnapshotHash is the content hash of the model file the snapshot
 	// was loaded from; empty when the model was built in-process.
@@ -76,26 +68,13 @@ type rowPlan struct {
 	dropped bool
 }
 
-// NewModel assembles a serving snapshot from a compiled single tree.
-func NewModel(task string, norm *features.Normalizer, tree *c45.CompiledTree) *Model {
-	return NewBatchModel(task, norm, tree)
-}
-
-// NewBatchModel assembles a serving snapshot around any compiled
-// predictor — a *c45.CompiledTree or a *c45.CompiledForest. Forest
-// models serve Diagnose and the batched pipeline identically to trees;
-// only the explain path is tree-only.
-func NewBatchModel(task string, norm *features.Normalizer, bp c45.BatchPredictor) *Model {
+// NewModel assembles a serving snapshot around a compiled predictor,
+// in service a *c45.CompiledTree.
+func NewModel(task string, norm *features.Normalizer, bp c45.BatchPredictor) *Model {
 	if norm == nil {
 		norm = features.NormalizerFromScales(nil)
 	}
-	m := &Model{task: task, norm: norm, bp: bp}
-	m.tree, _ = bp.(*c45.CompiledTree)
-	kind := "forest"
-	if m.tree != nil {
-		kind = "tree"
-	}
-	m.info = ModelInfo{Kind: kind, Trees: bp.Trees(), Nodes: bp.Nodes()}
+	m := &Model{task: task, norm: norm, bp: bp, info: ModelInfo{Nodes: bp.Nodes()}}
 	slots := map[string]int{}
 	slot := func(name string) int {
 		i, ok := slots[name]
@@ -198,20 +177,11 @@ func (m *Model) Diagnose(fv metrics.Vector) Result {
 	return Result{Class: cls, Severity: sev, Cause: cause}
 }
 
-// errExplainForest is the per-request answer when an explanation is
-// requested from an ensemble: a forest vote has no single decision
-// path to narrate.
-const errExplainForest = "explain is not supported for forest models"
-
 // DiagnoseExplain is Diagnose plus the traversed decision path and its
 // human-readable rule rendering. The class is identical to Diagnose's:
-// the explanation is recorded on the same traversal. Forest models
-// answer with an error — an ensemble vote has no single decision path.
+// the explanation is recorded on the same traversal.
 func (m *Model) DiagnoseExplain(fv metrics.Vector) Result {
-	if m.tree == nil {
-		return Result{Err: errExplainForest}
-	}
-	exp := m.tree.PredictRowExplain(m.rowOf(fv))
+	exp := m.bp.PredictRowExplain(m.rowOf(fv))
 	sev, cause := ParseClass(exp.Class)
 	return Result{Class: exp.Class, Severity: sev, Cause: cause, Explain: exp, Rule: exp.Rule()}
 }
@@ -271,31 +241,6 @@ type Config struct {
 	// result as opaque JSON so serve carries no dependency on the
 	// telemetry plane.
 	AlertsFunc func() any
-	// RequestTimeout, when positive, bounds how long a request may sit
-	// in a shard queue: a job dequeued after its deadline is answered
-	// with a timeout error instead of being classified against a stale
-	// world. Zero disables the check.
-	RequestTimeout time.Duration
-	// RetryMax bounds how many times DiagnoseBatch re-submits one
-	// request shed by a full queue before giving up and surfacing
-	// ErrOverloaded. Zero disables retries (every shed is final).
-	RetryMax int
-	// RetryBackoff is the base pause before a re-submission. The
-	// backoff window doubles per attempt up to RetryBackoffMax, and the
-	// actual delay is drawn from the upper half of the window by a
-	// seeded jitter stream (see retryDelay). Zero with RetryMax > 0
-	// selects 1ms.
-	RetryBackoff time.Duration
-	// RetryBackoffMax caps the doubling backoff window so a long retry
-	// budget cannot balloon into multi-second stalls. Zero with
-	// RetryMax > 0 selects 16× RetryBackoff.
-	RetryBackoffMax time.Duration
-	// RetrySeed seeds the deterministic retry-jitter stream. Zero (the
-	// default) draws a process-unique per-engine seed so concurrent
-	// engines — and the router tier fronting many of them — never sleep
-	// on identical schedules; set it explicitly to reproduce one
-	// engine's exact schedule in a test.
-	RetrySeed uint64
 	// InjectFault, when set, runs inside the worker just before
 	// classification. A non-nil return fails the request with that
 	// error; a panic exercises the worker's recovery path. This is the
@@ -312,12 +257,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.RetryMax > 0 && c.RetryBackoff <= 0 {
-		c.RetryBackoff = time.Millisecond
-	}
-	if c.RetryMax > 0 && c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 16 * c.RetryBackoff
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
@@ -399,13 +338,6 @@ type Engine struct {
 	infoMu    sync.Mutex
 	infoGauge *metrics.Gauge
 
-	// retrySeed is the engine's jitter-stream identity; retrySeq
-	// sub-seeds each retrying call so concurrent batches on one engine
-	// desynchronize too. sleep is the backoff pause — a seam so retry
-	// tests can record the schedule instead of waiting it out.
-	retrySeed uint64
-	retrySeq  atomic.Uint64
-	sleep     func(time.Duration)
 	// now is the engine's clock: enqueue stamps, stage timings and
 	// uptime all read it, and nothing else in the engine reads the
 	// time. It is wall time in service; tests swap in a fake before the
@@ -417,25 +349,12 @@ type Engine struct {
 	start time.Time
 }
 
-// engineSeq numbers engines process-wide: the default retry-jitter
-// seed must differ between engines created in the same process, or
-// identical shed pressure would produce identical (lockstep) backoff
-// schedules — the retry-storm pattern the jitter exists to break.
-var engineSeq atomic.Uint64
-
 // NewEngine starts the shard workers and returns a ready engine
 // serving the given snapshot.
 func NewEngine(m *Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, reg: cfg.Registry, now: time.Now}
 	e.start = e.now()
-	e.retrySeed = cfg.RetrySeed
-	if e.retrySeed == 0 {
-		e.retrySeed = splitmix64(engineSeq.Add(1))
-	}
-	// The pause is wall time by design (serving has no virtual clock);
-	// keeping it behind a func field lets tests capture the schedule.
-	e.sleep = time.Sleep
 	e.model.Store(m)
 	e.obs = newObs(e.reg)
 	e.setModelGauges(m)
@@ -466,10 +385,10 @@ func (e *Engine) Reload(m *Model) {
 }
 
 // setModelGauges publishes the snapshot's identity and size on the
-// vqserve_model_* series: numeric gauges for node/tree counts and load
-// time, plus an info-style gauge whose labels carry the kind and
-// snapshot hash (the currently-served identity is the series at 1; a
-// reload drops the previous identity to 0).
+// vqserve_model_* series: numeric gauges for node count and load time,
+// plus an info-style gauge whose label carries the snapshot hash (the
+// currently-served identity is the series at 1; a reload drops the
+// previous identity to 0).
 func (e *Engine) setModelGauges(m *Model) {
 	if m == nil {
 		return
@@ -478,9 +397,8 @@ func (e *Engine) setModelGauges(m *Model) {
 	e.infoMu.Lock()
 	defer e.infoMu.Unlock()
 	e.obs.modelNodes.Set(float64(info.Nodes))
-	e.obs.modelTrees.Set(float64(info.Trees))
 	e.obs.modelLoad.Set(info.LoadMillis / 1e3)
-	g := e.reg.Gauge(fmt.Sprintf("vqserve_model_info{kind=%q,snapshot=%q}", info.Kind, info.SnapshotHash),
+	g := e.reg.Gauge(fmt.Sprintf("vqserve_model_info{snapshot=%q}", info.SnapshotHash),
 		"serving model identity (1 = currently served)")
 	if prev := e.infoGauge; prev != nil && prev != g {
 		prev.Set(0)
@@ -542,48 +460,6 @@ func (e *Engine) submit(req Request, res *Result, done func(), enq time.Time) er
 	return nil
 }
 
-// splitmix64 is the SplitMix64 mixer (Steele et al.): a bijective
-// avalanche over 64 bits, so consecutive engine/call sequence numbers
-// spread into decorrelated jitter seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// retryDelay is attempt's jittered backoff: the window doubles from
-// base, saturating at max, and the delay is drawn uniformly from
-// [window/2, window] by a SplitMix64 hash of (seed, attempt). The
-// draw is a pure function — same seed, same schedule — but distinct
-// seeds decorrelate, so a fleet of clients shedding off the same
-// saturated queue spreads its retries across the window instead of
-// re-arriving in lockstep waves.
-func retryDelay(seed uint64, attempt int, base, max time.Duration) time.Duration {
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	if max < base {
-		max = base
-	}
-	window := base
-	for i := 0; i < attempt && window < max; i++ {
-		window *= 2
-	}
-	if window > max || window <= 0 { // beyond the cap, or doubled past overflow
-		window = max
-	}
-	half := window - window/2
-	r := splitmix64(seed ^ splitmix64(uint64(attempt)+1))
-	return window/2 + time.Duration(r%uint64(half+1))
-}
-
-// nextRetrySeed sub-seeds one retrying call's jitter stream, so two
-// concurrent DiagnoseBatch calls on the same engine also diverge.
-func (e *Engine) nextRetrySeed() uint64 {
-	return splitmix64(e.retrySeed ^ splitmix64(e.retrySeq.Add(1)))
-}
-
 // ValidateFeatures rejects feature vectors carrying NaN or ±Inf
 // values. NaN is the pipeline's internal missing-value sentinel: letting
 // it in from a client would silently classify the record down the
@@ -607,57 +483,22 @@ func ValidateFeatures(fv map[string]float64) error {
 
 // DiagnoseBatch classifies a batch through the pipeline and returns
 // results in request order. Requests rejected by the shed policy (or a
-// closed engine) come back with Err set.
-//
-// Shed handling is two-phase so one saturated shard cannot
-// head-of-line-block the rest of the batch: every row is submitted
-// first, then only the shed rows are re-submitted, one shared jittered
-// backoff per retry round. A batch with a single shed row therefore
-// completes in roughly one backoff, not N of them.
-//
-// Each round reads the clock once: its rows share one enqueue time.
+// closed engine) come back at once with Err set; the rest wait for
+// their answers. The batch reads the clock once: its rows share one
+// enqueue time.
 func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 	res := make([]Result, len(reqs))
 	e.obs.inflight.Add(float64(len(reqs)))
 	defer e.obs.inflight.Add(-float64(len(reqs)))
 	var wg sync.WaitGroup
-	wg.Add(len(reqs)) // each row is Done once: answered, failed or finally shed
+	wg.Add(len(reqs)) // each row is Done once: answered, failed or shed
 	done := wg.Done   // one method value for every row, not a closure per row
-	var shed []int    // indices still waiting on queue space
 	enq := e.now()
 	for i := range reqs {
-		err := e.submit(reqs[i], &res[i], done, enq)
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrOverloaded) && e.cfg.RetryMax > 0:
-			shed = append(shed, i)
-		default:
+		if err := e.submit(reqs[i], &res[i], done, enq); err != nil {
 			res[i] = Result{ID: reqs[i].ID, Err: err.Error()}
 			wg.Done()
 		}
-	}
-	seed := e.nextRetrySeed()
-	for attempt := 0; attempt < e.cfg.RetryMax && len(shed) > 0; attempt++ {
-		e.sleep(retryDelay(seed, attempt, e.cfg.RetryBackoff, e.cfg.RetryBackoffMax))
-		remaining := shed[:0]
-		enq = e.now()
-		for _, i := range shed {
-			e.obs.retries.Inc()
-			err := e.submit(reqs[i], &res[i], done, enq)
-			switch {
-			case err == nil:
-			case errors.Is(err, ErrOverloaded):
-				remaining = append(remaining, i)
-			default:
-				res[i] = Result{ID: reqs[i].ID, Err: err.Error()}
-				wg.Done()
-			}
-		}
-		shed = remaining
-	}
-	for _, i := range shed {
-		res[i] = Result{ID: reqs[i].ID, Err: ErrOverloaded.Error()}
-		wg.Done()
 	}
 	wg.Wait()
 	return res

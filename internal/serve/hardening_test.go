@@ -2,9 +2,8 @@ package serve
 
 // Regression tests for the robustness sweep (docs/ROBUSTNESS.md): every
 // fault class the chaos harness surfaced in the serving layer is pinned
-// here — worker panics, non-finite features, queue timeouts, shed
-// retry, graceful degradation on failed reloads, and the request
-// accounting invariant.
+// here — worker panics, non-finite features, shed rows, graceful
+// degradation on failed reloads, and the request accounting invariant.
 
 import (
 	"errors"
@@ -136,76 +135,68 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 	}
 }
 
-// TestRequestTimeout: with RequestTimeout set, a request that waited in
-// queue past the deadline is answered with a timeout error instead of
-// being classified against a stale world; one that waited exactly the
-// limit is classified. A one-row body reads the engine clock at
-// enqueue and then at dequeue, so the fake clock's step is the row's
-// queue wait.
-func TestRequestTimeout(t *testing.T) {
-	const limit = 10 * time.Millisecond
-	e, clk := newClockedEngine(t, Config{Shards: 1, RequestTimeout: limit}, limit+time.Nanosecond)
-	late := e.DiagnoseBatch([]Request{{ID: "late", Features: fv(50, 0)}})
-	if want := "timed out after 10.000001ms"; !strings.Contains(late[0].Err, want) {
-		t.Fatalf("row queued 1ns past the limit: Err=%q, want %q", late[0].Err, want)
-	}
-	clk.setStep(limit)
-	inTime := e.DiagnoseBatch([]Request{{ID: "in-time", Features: fv(50, 0)}})
-	if inTime[0].Err != "" || inTime[0].Class != "good" {
-		t.Fatalf("row queued exactly the limit: %+v, want classified good", inTime[0])
-	}
-	e.Close()
-	if v := e.obs.timeouts.Value(); v != 1 {
-		t.Errorf("timeouts counter = %d, want 1", v)
-	}
-	submitted, requests, errs, _ := e.Counters()
-	if submitted != requests+errs {
-		t.Errorf("accounting imbalance: submitted=%d classified=%d errors=%d", submitted, requests, errs)
-	}
-}
-
-// TestShedRetryBackoff: DiagnoseBatch re-submits shed requests with
-// backoff, smoothing transient overload.
-func TestShedRetryBackoff(t *testing.T) {
-	m := testModel(t, "lan_cong_severe")
-	block := make(chan struct{})
-	var once sync.Once
-	e := NewEngine(m, Config{
-		Shards: 1, QueueDepth: 1, Policy: Shed,
-		RetryMax: 50, RetryBackoff: time.Millisecond,
+// wedgedEngine builds an engine whose single shard is saturated: the
+// worker is wedged on the gate channel and both queue slots are full,
+// so every further Submit sheds deterministically until the gate opens.
+// The returned WaitGroup is done when both filler jobs complete.
+func wedgedEngine(t *testing.T) (e *Engine, gate chan struct{}, fillers *sync.WaitGroup) {
+	t.Helper()
+	gate = make(chan struct{})
+	wedged := make(chan struct{}, 2)
+	e = NewEngine(testModel(t, "lan_cong_severe"), Config{
+		Shards: 1, QueueDepth: 1, MaxBatch: 1, Policy: Shed,
 		InjectFault: func(r *Request) error {
-			once.Do(func() { <-block }) // first job wedges the worker briefly
+			if strings.HasPrefix(r.ID, "filler") {
+				wedged <- struct{}{}
+				<-gate
+			}
 			return nil
 		},
 	})
+	fillers = &sync.WaitGroup{}
+	var res [2]Result
+	for i := 0; i < 2; i++ {
+		fillers.Add(1)
+		if err := e.Submit(Request{ID: fmt.Sprintf("filler%d", i), Features: fv(50, 0)}, &res[i], fillers.Done); err != nil {
+			t.Fatalf("filler %d rejected: %v", i, err)
+		}
+		if i == 0 {
+			<-wedged // the worker holds filler0; the queue slot is free again
+		}
+	}
+	return e, gate, fillers
+}
+
+// TestBatchShedNonBlocking: under the Shed policy, DiagnoseBatch
+// answers every row a full queue rejects with ErrOverloaded at once. It
+// returns while the worker is still wedged, so a shed row never waits
+// on the queue it was refused by.
+func TestBatchShedNonBlocking(t *testing.T) {
+	const rows = 10
+	e, gate, fillers := wedgedEngine(t)
 	var reqs []Request
-	for i := 0; i < 8; i++ {
-		reqs = append(reqs, Request{ID: fmt.Sprint(i), Features: fv(50, 0)})
+	for i := 0; i < rows; i++ {
+		reqs = append(reqs, Request{ID: fmt.Sprintf("r%d", i), Features: fv(50, 0)})
 	}
 	done := make(chan []Result, 1)
 	go func() { done <- e.DiagnoseBatch(reqs) }()
-	time.Sleep(20 * time.Millisecond) // let the batch hit the full queue and start retrying
-	close(block)
-	res := <-done
-	okCount := 0
-	for _, r := range res {
-		switch {
-		case r.Err == "":
-			okCount++
-		case !strings.Contains(r.Err, ErrOverloaded.Error()):
-			t.Fatalf("unexpected error: %q", r.Err)
+	var res []Result
+	select {
+	case res = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("DiagnoseBatch blocked on a saturated shard")
+	}
+	for i, r := range res {
+		if r.ID != reqs[i].ID || r.Err != ErrOverloaded.Error() {
+			t.Fatalf("row %d on a saturated engine answered %+v, want shed", i, r)
 		}
 	}
+	close(gate)
+	fillers.Wait()
 	e.Close()
-	if okCount < 2 {
-		t.Errorf("only %d of %d requests survived transient overload with retries", okCount, len(reqs))
-	}
-	if e.obs.retries.Value() == 0 {
-		t.Error("retries counter not incremented")
-	}
-	submitted, requests, errs, _ := e.Counters()
-	if submitted != requests+errs {
-		t.Errorf("accounting imbalance: submitted=%d classified=%d errors=%d", submitted, requests, errs)
+	submitted, requests, errs, shed := e.Counters()
+	if submitted != 2 || requests != 2 || errs != 0 || shed != rows {
+		t.Errorf("submitted=%d classified=%d errors=%d shed=%d, want 2, 2, 0 and %d", submitted, requests, errs, shed, rows)
 	}
 }
 

@@ -188,12 +188,12 @@ func (e *Engine) sweep(m, cur *Model, batch []job, ws *batchScratch, start time.
 	return end
 }
 
-// prep runs one job's pre-classification stages — model, timeout and
-// validity checks, fault injection, normalization — and appends the
-// normalized row to the worker's pooled matrix. A job that fails a
-// check, or asks a forest for an explanation, gets its error result
-// here and no row. A panic (e.g. from InjectFault) is recovered per
-// job, so one poisoned request never kills the shard worker.
+// prep runs one job's pre-classification stages — model and validity
+// checks, fault injection, normalization — and appends the normalized
+// row to the worker's pooled matrix. A job that fails a check gets its
+// error result here and no row. A panic (e.g. from InjectFault) is
+// recovered per job, so one poisoned request never kills the shard
+// worker.
 func (e *Engine) prep(m *Model, j *job, ws *batchScratch) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -205,11 +205,6 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch) {
 	}()
 	if m == nil {
 		e.fail(j, "no model loaded")
-		return
-	}
-	if d, queueD := e.cfg.RequestTimeout, ws.dequeued.Sub(j.enq); d > 0 && queueD > d {
-		e.obs.timeouts.Inc()
-		e.fail(j, fmt.Sprintf("request timed out after %v in queue (limit %v)", queueD, d))
 		return
 	}
 	// A decoded row carries no non-finite value (reqscan), only NaN for
@@ -226,10 +221,6 @@ func (e *Engine) prep(m *Model, j *job, ws *batchScratch) {
 			e.fail(j, err.Error())
 			return
 		}
-	}
-	if j.req.Explain && m.tree == nil {
-		e.fail(j, errExplainForest)
-		return
 	}
 	vals := j.req.vals
 	if j.req.decodedBy == nil {
@@ -263,7 +254,7 @@ func (e *Engine) predictBatch(m *Model, ws *batchScratch) (errMsg string) {
 	for bi, j := range ws.jobs {
 		if j.req.Explain {
 			ws.mat.Row(bi, ws.row)
-			ws.exp[bi] = m.tree.PredictRowExplain(ws.row)
+			ws.exp[bi] = m.bp.PredictRowExplain(ws.row)
 		}
 	}
 	return ""
@@ -344,11 +335,10 @@ func (e *Engine) complete(j *job) {
 // requests never enter the pipeline and are counted only in shed.
 type obs struct {
 	requests, shed, errs, reloads *metrics.Counter
-	submitted, panics, timeouts   *metrics.Counter
-	invalid, retries, reloadFails *metrics.Counter
+	submitted, panics, invalid    *metrics.Counter
+	reloadFails                   *metrics.Counter
 	inflight                      *metrics.Gauge
-	modelNodes, modelTrees        *metrics.Gauge
-	modelLoad                     *metrics.Gauge
+	modelNodes, modelLoad         *metrics.Gauge
 	queueHist, normHist, predHist *metrics.Histogram
 	totalHist, batchSize          *metrics.Histogram
 }
@@ -365,13 +355,10 @@ func newObs(reg *metrics.Registry) *obs {
 		reloads:     reg.Counter("vqserve_model_reloads_total", "model hot reloads"),
 		submitted:   reg.Counter("vqserve_submitted_total", "requests accepted into a shard queue"),
 		panics:      reg.Counter("vqserve_panics_recovered_total", "worker panics recovered"),
-		timeouts:    reg.Counter("vqserve_timeouts_total", "requests expired in queue past RequestTimeout"),
 		invalid:     reg.Counter("vqserve_invalid_total", "requests rejected for non-finite feature values"),
-		retries:     reg.Counter("vqserve_retries_total", "shed requests re-submitted with backoff"),
 		reloadFails: reg.Counter("vqserve_reload_failures_total", "model reload attempts that failed (engine degraded)"),
 		inflight:    reg.Gauge("vqserve_inflight", "requests currently in the pipeline"),
 		modelNodes:  reg.Gauge("vqserve_model_nodes", "compiled nodes in the serving model"),
-		modelTrees:  reg.Gauge("vqserve_model_trees", "trees in the serving model (1 = single tree)"),
 		modelLoad:   reg.Gauge("vqserve_model_load_seconds", "how long loading the serving model took"),
 		queueHist:   stage("queue"),
 		normHist:    stage("normalize"),

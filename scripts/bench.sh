@@ -13,9 +13,9 @@
 # cross-validation. The fleet benchmark runs one b.N-session fleet so
 # ns/op is ns per simulated session; bench_report.py derives the
 # sessions/sec figure recorded in the baseline. The inference set times
-# the serving hot path — scalar vs batch single-tree, batch forest
-# (serial + parallel), the pointer-forest vector path, and binary
-# snapshot load — with one iteration = one prediction, so
+# the serving hot path — scalar vs batch single-tree, the offline
+# pointer-forest vector path, and binary tree snapshot load — with one
+# iteration = one prediction, so
 # bench_report.py derives predictions_per_sec and snapshot_load_ms
 # directly (see docs/PERFORMANCE.md for the methodology). The router
 # set drives full /diagnose round trips through an in-process vqroute
@@ -35,7 +35,7 @@ cd "$(dirname "$0")/.."
 
 BENCHES='BenchmarkFeatureConstruction|BenchmarkFCBFSelection|BenchmarkC45Training|BenchmarkC45Prediction|BenchmarkCrossValidation'
 FLEET_BENCH='BenchmarkFleetSessions'
-INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPredictBatch|BenchmarkForestPredictBatchParallel|BenchmarkForestPredictVector|BenchmarkSnapshotLoad'
+INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPredictVector|BenchmarkSnapshotLoad'
 LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
 SCAN_BENCHES='BenchmarkScanWide|BenchmarkScanNarrow'
@@ -92,7 +92,7 @@ check)
   # Training 100x: enough iterations to keep the sub-µs benches out of
   # warmup noise (5x flaked BenchmarkC45Prediction past the 4x guard)
   # while staying a quick smoke. Inference and router take a duration:
-  # the inference set spans ~40 ns (PredictBatch) to ~1 ms
+  # the inference set spans ~40 ns (PredictBatch) to ~20 µs
   # (SnapshotLoad) per iteration, so no fixed Nx suits all of them.
   out="$(run_all 100x 20000x 100ms 100ms)"
   printf '%s\n' "$out"

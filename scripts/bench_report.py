@@ -28,8 +28,6 @@ LINE = re.compile(
 PREDICTION_BENCHES = {
     "BenchmarkPredictRowScalar",
     "BenchmarkPredictBatch",
-    "BenchmarkForestPredictBatch",
-    "BenchmarkForestPredictBatchParallel",
     "BenchmarkForestPredictVector",
 }
 

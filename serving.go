@@ -99,8 +99,8 @@ func (m *Model) SaveSnapshot(w io.Writer) error {
 // LoadServingModel loads a serving model from disk, accepting both
 // model formats by sniffing the file: vqtrain's JSON (parsed and
 // re-compiled) and the binary c45 snapshot written by SaveSnapshot or
-// vqtrain -emit-snapshot (single-read decode; may hold a tree or a
-// forest). Provenance — the file's content hash and the measured load
+// vqtrain -emit-snapshot (single-read decode of the compiled tree).
+// Provenance — the file's content hash and the measured load
 // time — is recorded on the returned model and surfaces on /healthz
 // and the vqserve_model_* gauges.
 func LoadServingModel(path string) (*CompiledModel, error) {
@@ -112,7 +112,7 @@ func LoadServingModel(path string) (*CompiledModel, error) {
 	}
 	var cm *CompiledModel
 	if c45.IsSnapshot(data) {
-		bp, metaRaw, err := c45.ReadSnapshot(data)
+		ct, metaRaw, err := c45.ReadSnapshot(data)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", path, err)
 		}
@@ -122,7 +122,7 @@ func LoadServingModel(path string) (*CompiledModel, error) {
 				return nil, fmt.Errorf("vqprobe: %s: decoding snapshot meta: %w", path, err)
 			}
 		}
-		cm = serve.NewBatchModel(string(meta.Task), features.NormalizerFromScales(meta.Scales), bp)
+		cm = serve.NewModel(string(meta.Task), features.NormalizerFromScales(meta.Scales), ct)
 	} else {
 		m, err := LoadModel(bytes.NewReader(data))
 		if err != nil {
@@ -138,9 +138,9 @@ func LoadServingModel(path string) (*CompiledModel, error) {
 	return cm, nil
 }
 
-// ModelInfo describes a loaded serving model: kind (tree/forest),
-// ensemble size, node count, and — when loaded from disk — the file's
-// content hash and load time.
+// ModelInfo describes a loaded serving model: its compiled tree's node
+// count and, when loaded from disk, the file's content hash and load
+// time.
 type ModelInfo = serve.ModelInfo
 
 // NewEngine starts an engine serving the given compiled snapshot.

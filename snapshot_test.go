@@ -50,10 +50,7 @@ func TestSnapshotRoundTripMatchesJSONModel(t *testing.T) {
 	}
 
 	ji, si := fromJSON.Info(), fromSnap.Info()
-	if ji.Kind != "tree" || si.Kind != "tree" {
-		t.Fatalf("model kinds wrong: json %+v, snapshot %+v", ji, si)
-	}
-	if ji.Nodes != si.Nodes {
+	if ji.Nodes <= 0 || ji.Nodes != si.Nodes {
 		t.Fatalf("node counts differ: json %d, snapshot %d", ji.Nodes, si.Nodes)
 	}
 	if ji.SnapshotHash == "" || si.SnapshotHash == "" || ji.SnapshotHash == si.SnapshotHash {

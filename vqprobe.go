@@ -36,6 +36,7 @@ import (
 	"vqprobe/internal/metrics"
 	"vqprobe/internal/ml"
 	"vqprobe/internal/ml/c45"
+	"vqprobe/internal/serve"
 	"vqprobe/internal/testbed"
 )
 
@@ -175,17 +176,8 @@ func (m *Model) Diagnose(records map[string]map[string]float64) Diagnosis {
 		}
 	}
 	cls := m.pipeline.PredictVector(fv)
-	d := Diagnosis{Class: cls}
-	switch cls {
-	case "good":
-		d.Severity, d.Cause = "good", "good"
-	case "problematic":
-		d.Severity, d.Cause = "problematic", "unknown"
-	default:
-		base, sev := splitSeverity(cls)
-		d.Cause, d.Severity = base, sev
-	}
-	return d
+	sev, cause := serve.ParseClass(cls)
+	return Diagnosis{Class: cls, Severity: sev, Cause: cause}
 }
 
 // DiagnoseSession is a convenience wrapper over Diagnose.
@@ -205,15 +197,6 @@ func (m *Model) Evaluate(sessions []Session) (*ml.Confusion, error) {
 		return nil, err
 	}
 	return m.pipeline.Evaluate(d), nil
-}
-
-func splitSeverity(cls string) (base, severity string) {
-	for _, suffix := range []string{"_mild", "_severe"} {
-		if len(cls) > len(suffix) && cls[len(cls)-len(suffix):] == suffix {
-			return cls[:len(cls)-len(suffix)], suffix[1:]
-		}
-	}
-	return cls, ""
 }
 
 // modelJSON is the serialized model format.
