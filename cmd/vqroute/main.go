@@ -1,7 +1,8 @@
 // Command vqroute is the fleet-mode router: one daemon fronting N
-// vqserve replicas, spreading /diagnose NDJSON traffic with a
-// consistent-hash ring (sticky per session ID) plus a least-loaded
-// fallback, ejecting replicas that fail health probes, holding traffic
+// vqserve replicas, splitting each /diagnose NDJSON body into
+// contiguous line ranges, one per replica with room (the least loaded
+// takes the first), failing a broken replica's unserved rows over to a
+// healthy peer, ejecting replicas that fail health probes, holding traffic
 // shifts and rollouts when a replica reports degraded, coordinating
 // staged model rollouts (canary → verify hash → fan out), and
 // propagating backpressure as 429 + Retry-After when the whole fleet
@@ -11,9 +12,9 @@
 //
 //	vqroute -replicas http://127.0.0.1:8701,http://127.0.0.1:8702
 //	        [-addr :8710] [-health-every 2s] [-eject-after 3]
-//	        [-max-inflight 1024] [-retry-after 1s] [-vnodes 64]
+//	        [-max-inflight 1024] [-retry-after 1s]
 //	        [-log-format text|json] [-obs 2s] [-obs-cap 360]
-//	        [-drain 10s]
+//	        [-pprof-addr ""] [-drain 10s]
 //
 // Endpoints:
 //
@@ -26,8 +27,10 @@
 //	POST /-/rollout   staged model rollout (?hash= pins the expected
 //	                  snapshot hash); 200 complete, 409 held
 //
-// Topology, hashing, the rollout protocol and the shedding tiers are
-// documented in docs/ROUTING.md.
+// -pprof-addr serves net/http/pprof on a separate listener, so a CPU
+// profile of the router can be taken under load. Topology, the range
+// split, the rollout protocol and the shedding tiers are documented in
+// docs/ROUTING.md.
 package main
 
 import (
@@ -36,6 +39,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -73,10 +77,10 @@ func main() {
 		ejectAfter  = flag.Int("eject-after", 3, "consecutive probe failures before a replica is ejected")
 		maxInflight = flag.Int("max-inflight", 1024, "max outstanding proxied rows per replica before shedding")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After hint on 429 responses and shed rows")
-		vnodes      = flag.Int("vnodes", 64, "virtual nodes per replica on the hash ring")
 		logFmt      = flag.String("log-format", "text", "log output format: text or json")
 		obsEvery    = flag.Duration("obs", 2*time.Second, "telemetry plane sampling interval; 0 disables /vars and /dashboard")
 		obsCap      = flag.Int("obs-cap", 360, "telemetry ring capacity in samples per series")
+		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGTERM")
 		version     = flag.Bool("version", false, "print version and exit")
 	)
@@ -106,7 +110,6 @@ func main() {
 		Registry:    reg,
 		Logger:      logger,
 		Clock:       time.Now,
-		VNodes:      *vnodes,
 		EjectAfter:  *ejectAfter,
 		MaxInflight: *maxInflight,
 		RetryAfter:  *retryAfter,
@@ -116,9 +119,20 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("routing",
-		"replicas", len(urls), "addr", *addr, "vnodes", *vnodes,
+		"replicas", len(urls), "addr", *addr,
 		"eject_after", *ejectAfter, "max_inflight", *maxInflight,
 		"health_every", *healthEvery)
+
+	if *pprofAddr != "" {
+		// pprof registers on http.DefaultServeMux; the router surface
+		// uses its own mux, so the profile listener exposes nothing else.
+		go func() {
+			logger.Info("pprof listening", "addr", *pprofAddr)
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+				logger.Error("pprof listener failed", "err", err)
+			}
+		}()
+	}
 
 	// The health loop is the only periodic work: the route package is
 	// clock-free by design, so the daemon owns the ticker.

@@ -160,7 +160,7 @@ func (h *Harness) RouteReplicaKill(mk func() *serve.Model) {
 	h.Logf("replica-kill: rows=%d killAfter=%d fp=%s", rows, killAfter, Fingerprint(results))
 
 	// The fleet keeps answering while the corpse is still nominally in
-	// rotation (failover absorbs its sticky rows request by request).
+	// rotation (failover absorbs its range request by request).
 	body2, ids2 := h.routeRows("after", 40)
 	h.checkExactlyOnce("post-kill batch", ids2, h.postRows(router.Client(), router.URL, body2))
 
@@ -256,7 +256,8 @@ func (h *Harness) RouteSplitBrainReload(mk func() *serve.Model) {
 	}
 
 	// Both holds left the fleet serving: the degraded replica answers
-	// its sticky traffic from the last-good snapshot.
+	// traffic when no Healthy replica has room, from the last-good
+	// snapshot; here the Healthy replica takes the batch.
 	body, ids := h.routeRows("held", 60)
 	h.checkExactlyOnce("post-hold batch", ids, h.postRows(router.Client(), router.URL, body))
 	h.Logf("split-brain: post-hold traffic served rows=%d", len(ids))
@@ -271,7 +272,7 @@ func (h *Harness) RouteSplitBrainReload(mk func() *serve.Model) {
 // is ejected — no matter how many client batches arrive — and every
 // client batch still gets exactly one clean answer per row through
 // the failover path. When the replica recovers, a health poll
-// re-admits it and its sticky traffic returns.
+// re-admits it and it takes ranges again.
 func (h *Harness) RouteRetryStorm(mk func() *serve.Model) {
 	h.TB.Helper()
 	eA := serve.NewEngine(mk(), serve.Config{Shards: 2})
@@ -340,7 +341,7 @@ func (h *Harness) RouteRetryStorm(mk func() *serve.Model) {
 	h.Logf("retry-storm: batches=%d flaky_reqs<=%d damped=true", batches, ejectAfter)
 
 	// Recovery: the replica stops flapping, a poll re-admits it, and
-	// sticky traffic returns.
+	// it takes ranges again.
 	aFlaky.Store(false)
 	rt.PollHealth(context.Background())
 	if st := rt.Statuses(); st[0].State != "healthy" {

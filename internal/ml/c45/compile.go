@@ -1,6 +1,7 @@
 package c45
 
 import (
+	"errors"
 	"fmt"
 
 	"vqprobe/internal/metrics"
@@ -54,6 +55,13 @@ func (na *nodeArrays) push() int32 {
 	return at
 }
 
+// ErrMalformedTree is wrapped by every Compile error about the tree's
+// structure: an internal node without both children, a split on a
+// feature outside the schema, or a leaf whose class lies outside the
+// class table. A model file is untrusted input, so these are errors,
+// never panics.
+var ErrMalformedTree = errors.New("c45: malformed tree")
+
 // CompiledTree is the flat, immutable serving form of a Tree.
 type CompiledTree struct {
 	schema  []string
@@ -91,6 +99,9 @@ func Compile(t *Tree) (*CompiledTree, error) {
 func (ct *CompiledTree) emit(t *Tree, n *node) (int32, error) {
 	at := ct.nodes.push()
 	if n.isLeaf() {
+		if n.class < 0 || n.class >= len(t.classes) {
+			return 0, fmt.Errorf("%w: leaf class %d of %d", ErrMalformedTree, n.class, len(t.classes))
+		}
 		total := 0.0
 		for _, d := range n.dist {
 			total += d
@@ -103,7 +114,10 @@ func (ct *CompiledTree) emit(t *Tree, n *node) (int32, error) {
 		return at, nil
 	}
 	if n.feature >= len(t.features) {
-		return 0, fmt.Errorf("c45: node splits on feature %d of %d", n.feature, len(t.features))
+		return 0, fmt.Errorf("%w: node splits on feature %d of %d", ErrMalformedTree, n.feature, len(t.features))
+	}
+	if n.left == nil || n.right == nil {
+		return 0, fmt.Errorf("%w: internal node %d lacks a child", ErrMalformedTree, at)
 	}
 	left, err := ct.emit(t, n.left)
 	if err != nil {

@@ -2,6 +2,7 @@ package c45
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -139,6 +140,32 @@ func TestCompileRejectsOutOfRangeSplit(t *testing.T) {
 	tr.root.right.feature = len(tr.features)
 	if _, err := Compile(tr); err == nil {
 		t.Fatal("expected an error compiling a split on an out-of-range feature")
+	}
+}
+
+// nilChildJSON is a model tree whose root splits on "a" but has only a
+// left child: it unmarshals, since the JSON decoder checks only that a
+// root exists, and must then be refused by Compile.
+const nilChildJSON = `{"features":["a"],"classes":["good","bad"],"root":{"f":0,"t":1,"c":0,"w":2,"l":{"f":-1,"c":0,"d":[1,0],"w":1}}}`
+
+// TestCompileRejectsMalformedTree: a tree read from an untrusted file
+// whose internal node lacks a child, or whose leaf names a class past
+// the class table, is refused with ErrMalformedTree, never a panic.
+func TestCompileRejectsMalformedTree(t *testing.T) {
+	var nilChild Tree
+	if err := json.Unmarshal([]byte(nilChildJSON), &nilChild); err != nil {
+		t.Fatalf("the nil-child tree should unmarshal: %v", err)
+	}
+	badClass := goldenTree()
+	badClass.root.right.left.class = len(badClass.classes)
+	negClass := goldenTree()
+	negClass.root.left.class = -1
+	split := goldenTree()
+	split.root.right.feature = len(split.features)
+	for name, tr := range map[string]*Tree{"nil child": &nilChild, "class past table": badClass, "negative class": negClass, "split past schema": split} {
+		if _, err := Compile(tr); !errors.Is(err, ErrMalformedTree) {
+			t.Errorf("%s: Compile returned %v, want ErrMalformedTree", name, err)
+		}
 	}
 }
 

@@ -44,6 +44,25 @@ import (
 	"unicode/utf8"
 )
 
+// FirstLineHeader names the /diagnose request header that carries the
+// input line number of the body's first line. vqroute sends each
+// replica a contiguous range of its client's body and sets it, so the
+// replica numbers its per-line errors as the client counts its lines.
+const FirstLineHeader = "Vq-First-Line"
+
+// FirstLine reads a FirstLineHeader value: absent ("") is 1, and
+// anything but a positive decimal integer is an error.
+func FirstLine(v string) (int, error) {
+	if v == "" {
+		return 1, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("%s: want a positive integer, got %q", FirstLineHeader, v)
+	}
+	return n, nil
+}
+
 // maxDepth is encoding/json's nesting limit; a deeper line is rejected.
 const maxDepth = 10000
 

@@ -29,6 +29,7 @@ func FuzzRouterMatchesEngine(f *testing.F) {
 	f.Add([]byte("\x00\xff\xfe\n{broken\n"))
 	f.Add([]byte(`{"id":"a"}` + "\r\r\n" + `{"id":"b","features":{"mobile.rtt":1e400}}`))
 	f.Add([]byte(""))
+	f.Add([]byte(rangeBody()))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		via := httptest.NewRecorder()

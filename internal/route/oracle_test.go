@@ -121,13 +121,15 @@ func TestRouterMatchesDirectEngine(t *testing.T) {
 	}
 }
 
-// proxyTo forwards r to the server at url and copies its answer to w.
+// proxyTo forwards r, headers included, to the server at url and
+// copies its answer to w.
 func proxyTo(t *testing.T, url string, w http.ResponseWriter, r *http.Request) {
 	req, err := http.NewRequest(r.Method, url+r.URL.Path, r.Body)
 	if err != nil {
 		t.Error(err)
 		return
 	}
+	req.Header = r.Header.Clone()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Error(err)
@@ -141,4 +143,65 @@ func proxyTo(t *testing.T, url string, w http.ResponseWriter, r *http.Request) {
 	var b bytes.Buffer
 	b.ReadFrom(resp.Body)
 	w.Write(b.Bytes())
+}
+
+// rangeBody is a 10-row body that two idle replicas split 5/5, with
+// blank and CR-only lines at both range boundaries and after its first
+// row, and a malformed line in each range: input line 6, the first
+// range's third row, and line 12, the second range's second row.
+func rangeBody() string {
+	return "\r\n" + ndjson("s0") + "\n\r\n" + ndjson("s1") + `{"id":5}` + "\n" + ndjson("s2", "s3") +
+		"\r\n\n" + ndjson("s4") + "not json\n" + ndjson("s5") + "\r\n" + ndjson("s6", "s7") + "\r"
+}
+
+// TestProxyRangesKeepTrueLineNumbers: a malformed line is answered by
+// the replica its range went to, with its line number in the client's
+// body, in the second range and in a failed-over tail alike.
+func TestProxyRangesKeepTrueLineNumbers(t *testing.T) {
+	body := rangeBody()
+	direct := startEngine(t, "h1", nil)
+	want := post(t, direct.Config.Handler, body)
+	check := func(t *testing.T, rt *Router) {
+		t.Helper()
+		got := post(t, rt.Handler(), body)
+		rows := readRows(t, bytes.NewReader(got))
+		if len(rows) != 10 || !strings.HasPrefix(rows[2].Err, "line 6: ") || !strings.HasPrefix(rows[6].Err, "line 12: ") {
+			t.Fatalf("answers %+v, want 10 with line 6's and line 12's errors third and seventh", rows)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("through the router:\n%s\ndirect:\n%s", got, want)
+		}
+	}
+
+	t.Run("second range", func(t *testing.T) {
+		a, b := startEngine(t, "h1", nil), startEngine(t, "h1", nil)
+		check(t, newRouter(t, Config{Replicas: []string{a.URL, b.URL}}))
+	})
+
+	// The first range's replica answers its first row, then dies: the
+	// rest of that range, starting at the blank lines after s0 and
+	// holding line 6, fails over with its line number.
+	t.Run("failed-over tail", func(t *testing.T) {
+		eng := startEngine(t, "h1", nil)
+		var cut atomic.Bool
+		failing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/diagnose" || !cut.CompareAndSwap(false, true) {
+				proxyTo(t, eng.URL, w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			proxyTo(t, eng.URL, rec, r)
+			a := rec.Body.Bytes()
+			w.Write(a[:bytes.IndexByte(a, '\n')+1])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		}))
+		defer failing.Close()
+		healthy := startEngine(t, "h1", nil)
+		rt := newRouter(t, Config{Replicas: []string{failing.URL, healthy.URL}})
+		check(t, rt)
+		if !cut.Load() || rt.obs.failovers.Value() != 1 {
+			t.Fatalf("no mid-range failover happened (cut %v, failovers %d)", cut.Load(), rt.obs.failovers.Value())
+		}
+	})
 }

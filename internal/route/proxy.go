@@ -19,69 +19,63 @@ import (
 )
 
 // maxLine bounds one NDJSON line in either direction (1 MiB, matching
-// vqserve's ingest bound). It also bounds every buffer kept for reuse:
-// a larger one is left to the collector.
+// vqserve's ingest bound): a line and its newline must fit in it. It
+// also bounds every buffer kept for reuse: a larger one is left to the
+// collector.
 const maxLine = 1 << 20
 
 // flushAt is the merged answer size at which /diagnose writes it out.
 const flushAt = 32 << 10
 
-// lineBufs holds the 64 KiB buffers client bodies are read through, as
-// vqserve's handler does: a fresh one per body was most of a request's
-// garbage. Nothing keeps a slice of one past its read: each accepted
-// line is copied once, into its replica's sub-batch body.
-var lineBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b }}
-
-// rowRef is one input row in flight: its slot in the merged response,
-// its session ID, where its line starts in its sub-batch body, and, once
-// a replica has answered it, where the answer line lies in that
-// attempt's buffer.
-type rowRef struct {
-	slot   int
-	id     string
-	off    int
-	lo, hi int
-}
-
-// batch is one /diagnose request's routing state: the merged answer's
-// slots, one sub-batch per replica and the merge buffer. Batches are
-// pooled. The slots point into the sub-batches' answer buffers, and the
-// transport may still read a sub-batch body after its response
-// arrived, so a batch goes back to the pool only when the handler is
-// done with it and the transport has closed every body it was sent
-// (refs counts both).
+// batch is one /diagnose request's routing state: the client body,
+// read once, the ranges of it sent to replicas, and the merge buffer.
+// Batches are pooled. The transport may still read a range after its
+// response arrived, so a batch goes back to the pool only when the
+// handler is done with it and the transport has closed every body it
+// was sent (refs counts both).
 type batch struct {
-	refs    atomic.Int32
-	results [][]byte
-	subs    []sub
-	out     []byte
+	refs  atomic.Int32
+	body  []byte
+	spans []span
+	cands []cand
+	out   []byte
+	// shedAt is where the rows no replica had room for start in body,
+	// and shedLine that line's input line number.
+	shedAt, shedLine int
 }
 
-// sub is the rows a request routed to one replica: their lines, one
-// after another in body, one answer buffer per attempt to serve them
-// (more than one only after a failover), and the replicas tried.
-type sub struct {
-	rows    []rowRef
-	body    []byte
+// span is one contiguous range of the client body, blank lines
+// included, sent to one replica; after a failure its unserved rest is
+// resent to another. It holds one answer buffer per attempt, each
+// holding whole answer lines, so the range's answer is their
+// concatenation, followed by the router's own answers to any rows no
+// replica served.
+type span struct {
+	rep     int // the replica first sent the range
+	rows    int // non-blank lines in it
+	lo, hi  int // its bytes in the body
+	line    int // the input line number of its first line
 	answers [][]byte
 	tried   []bool
+	// rest is where the rows the router answers itself start, restLine
+	// that line's number and restMsg the answer; restMsg is "" when
+	// replicas answered every row.
+	rest, restLine int
+	restMsg        string
 }
 
 var batches = sync.Pool{New: func() any { return new(batch) }}
-
-// maxPooledRows caps the per-row slices a pooled batch keeps; a rarer,
-// larger request's are left to the collector.
-const maxPooledRows = 1 << 16
 
 // getBatch takes a batch from the pool, sized for a fleet of replicas,
 // holding the caller's reference.
 func getBatch(replicas int) *batch {
 	b := batches.Get().(*batch)
-	if len(b.subs) != replicas {
-		b.subs = make([]sub, replicas)
-		for i := range b.subs {
-			b.subs[i].tried = make([]bool, replicas)
+	if cap(b.spans) != replicas {
+		b.spans = make([]span, replicas)
+		for i := range b.spans {
+			b.spans[i].tried = make([]bool, replicas)
 		}
+		b.cands = make([]cand, 0, replicas)
 	}
 	b.refs.Store(1)
 	return b
@@ -93,23 +87,15 @@ func (b *batch) release() {
 	if b.refs.Add(-1) != 0 {
 		return
 	}
-	clear(b.results)
-	b.results = reuse(b.results, maxPooledRows)
+	b.body = reuse(b.body, maxLine)
 	b.out = reuse(b.out, maxLine)
-	for i := range b.subs {
-		s := &b.subs[i]
-		clear(s.rows)
-		s.rows = reuse(s.rows, maxPooledRows)
-		s.body = reuse(s.body, maxLine)
-		kept := s.answers[:0]
-		for _, a := range s.answers {
-			if a = reuse(a, maxLine); a != nil {
-				kept = append(kept, a)
-			}
+	all := b.spans[:cap(b.spans)]
+	for i := range all {
+		sp := &all[i]
+		for k, a := range sp.answers {
+			sp.answers[k] = reuse(a, maxLine)
 		}
-		clear(s.answers[len(kept):])
-		s.answers = kept
-		clear(s.tried)
+		clear(sp.tried)
 	}
 	batches.Put(b)
 }
@@ -123,9 +109,9 @@ func reuse[T any](s []T, limit int) []T {
 	return s[:0]
 }
 
-// sentBody is the unserved tail of a sub-batch body on its way to a
-// replica. It holds a reference on its batch until the transport
-// closes it, which may happen after the response has been read.
+// sentBody is a range of the client body on its way to a replica. It
+// holds a reference on its batch until the transport closes it, which
+// may happen after the response has been read.
 type sentBody struct {
 	bytes.Reader
 	b      *batch
@@ -146,25 +132,91 @@ func (sb *sentBody) Close() error {
 	return nil
 }
 
-// errLine renders the router's own per-row answer in the same NDJSON
-// shape replicas use, so clients never see two result dialects.
-func errLine(id, msg string) []byte {
+// lineEnd returns where the line at off ends (at its newline, or at
+// the end of the body) and where the next line starts.
+func lineEnd(body []byte, off int) (end, next int) {
+	if nl := bytes.IndexByte(body[off:], '\n'); nl >= 0 {
+		return off + nl, off + nl + 1
+	}
+	return len(body), len(body)
+}
+
+// blank reports whether a line holds nothing once one trailing CR is
+// dropped, as bufio.ScanLines reads it.
+func blank(line []byte) bool { return len(line) == 0 || len(line) == 1 && line[0] == '\r' }
+
+// countRows counts a body's non-blank lines, refusing a line that
+// would not fit, with its newline, in maxLine bytes.
+func countRows(body []byte) (int, error) {
+	rows := 0
+	for off := 0; off < len(body); {
+		end, next := lineEnd(body, off)
+		if end-off >= maxLine {
+			return 0, bufio.ErrTooLong
+		}
+		if !blank(body[off:end]) {
+			rows++
+		}
+		off = next
+	}
+	return rows, nil
+}
+
+// skipRows steps past k non-blank lines from off, the start of input
+// line lineno, and returns the offset and line number just after the
+// k-th.
+func skipRows(body []byte, off, lineno, k int) (int, int) {
+	for ; k > 0 && off < len(body); lineno++ {
+		end, next := lineEnd(body, off)
+		if !blank(body[off:end]) {
+			k--
+		}
+		off = next
+	}
+	return off, lineno
+}
+
+// appendErrLines answers the rows of lines, the first of which is input
+// line lineno, with msg, in the NDJSON shape replicas use. The router
+// answers a row itself only when no replica will: it was shed, every
+// replica failed on it, or the client went away. A line a replica
+// would reject gets the replica's own error, with its true line
+// number. This is the only place the router parses a line.
+func appendErrLines(out, lines []byte, lineno int, msg string) []byte {
+	for off := 0; off < len(lines); lineno++ {
+		end, next := lineEnd(lines, off)
+		if line := lines[off:end]; !blank(line) {
+			hdr, err := reqscan.Scan(bytes.TrimSuffix(line, []byte{'\r'}), nil, nil)
+			if err != nil {
+				out = appendErrLine(out, "", fmt.Sprintf("line %d: %v", lineno, err))
+			} else {
+				out = appendErrLine(out, hdr.ID, msg)
+			}
+		}
+		off = next
+	}
+	return out
+}
+
+// appendErrLine renders one router-made answer line in the NDJSON shape
+// replicas use, so clients never see two result dialects.
+func appendErrLine(out []byte, id, msg string) []byte {
 	b, err := json.Marshal(struct {
 		ID  string `json:"id,omitempty"`
 		Err string `json:"error"`
 	}{ID: id, Err: msg})
 	if err != nil {
 		// Marshal of two strings cannot fail; keep the row answered anyway.
-		return []byte(`{"error":"internal: unrenderable error"}`)
+		b = []byte(`{"error":"internal: unrenderable error"}`)
 	}
-	return b
+	return append(append(out, b...), '\n')
 }
 
 // Handler returns the router's HTTP surface:
 //
-//	POST /diagnose   NDJSON batch: rows fan out to replicas by session
-//	                 ID (sticky consistent hash, least-loaded fallback),
-//	                 answers merge back in input order
+//	POST /diagnose   NDJSON batch: the body splits into contiguous line
+//	                 ranges, one per replica with room, and the answers
+//	                 merge back in input order
 //	GET  /healthz    router + per-replica state summary
 //	GET  /metrics    Prometheus text exposition
 //	POST /-/rollout  staged model rollout across the fleet (?hash=
@@ -252,80 +304,49 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	b := getBatch(len(rt.reps))
 	defer b.release()
 
-	scanBuf := lineBufs.Get().(*[]byte)
-	defer lineBufs.Put(scanBuf)
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(*scanBuf, maxLine)
-	var (
-		lineno  int
-		rowsIn  int
-		shedN   int
-		shedMsg string
-	)
-	for sc.Scan() {
-		lineno++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		// The replicas' own scanner, reading only the id: a line it
-		// rejects would fail at the replica too, and answering it here
-		// keeps true input line numbers, which sub-batches would
-		// otherwise renumber.
-		hdr, err := reqscan.Scan(line, nil, nil)
-		if err != nil {
-			b.results = append(b.results, errLine("", fmt.Sprintf("line %d: %v", lineno, err)))
-			continue
-		}
-		rowsIn++
-		slot := len(b.results)
-		b.results = append(b.results, nil)
-		idx := rt.route(hdr.ID, 1, nil)
-		if idx < 0 {
-			shedN++
-			if shedMsg == "" {
-				shedMsg = "router overloaded: no replica with capacity; retry after " + rt.retryAfterSeconds() + "s"
-			}
-			b.results[slot] = errLine(hdr.ID, shedMsg)
-			continue
-		}
-		s := &b.subs[idx]
-		s.rows = append(s.rows, rowRef{slot: slot, id: hdr.ID, off: len(s.body)})
-		s.body = append(append(s.body, line...), '\n')
-	}
-	if err := sc.Err(); err != nil {
+	body := bytes.NewBuffer(b.body)
+	_, err := body.ReadFrom(r.Body)
+	if b.body = body.Bytes(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(b.results) == 0 {
+	rows, err := countRows(b.body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if rows == 0 {
 		http.Error(w, "empty request body", http.StatusBadRequest)
 		return
 	}
-	rt.obs.rows.Add(uint64(rowsIn))
-	if shedN > 0 {
-		rt.obs.shed.Add(uint64(shedN))
+	rt.obs.rows.Add(uint64(rows))
+	shed := rows - rt.split(b, rows)
+	var shedMsg string
+	if shed > 0 {
+		rt.obs.shed.Add(uint64(shed))
+		shedMsg = "router overloaded: no replica with capacity; retry after " + rt.retryAfterSeconds() + "s"
 	}
 
 	// Backpressure propagation: a batch the router could not place at
 	// all is one HTTP-level rejection with a backoff hint, not a retry
 	// storm into saturated queues.
-	if rowsIn > 0 && shedN == rowsIn {
+	if shed == rows {
 		w.Header().Set("Retry-After", rt.retryAfterSeconds())
 		http.Error(w, shedMsg, http.StatusTooManyRequests)
 		return
 	}
 
+	// The first range is proxied on this goroutine, the others on their
+	// own.
 	var wg sync.WaitGroup
-	for idx := range b.subs {
-		if len(b.subs[idx].rows) == 0 {
-			continue
-		}
+	for i := 1; i < len(b.spans); i++ {
 		wg.Add(1)
-		go func(idx int) {
+		go func(sp *span) {
 			defer wg.Done()
-			rt.proxyRows(ctx, b, idx)
-		}(idx)
+			rt.proxySpan(ctx, b, sp)
+		}(&b.spans[i])
 	}
+	rt.proxySpan(ctx, b, &b.spans[0])
 	wg.Wait()
 
 	if rt.cfg.Clock != nil {
@@ -337,88 +358,131 @@ func (rt *Router) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	if r.Context().Err() != nil {
 		return
 	}
-	if shedN > 0 {
+	if shed > 0 {
 		w.Header().Set("Retry-After", rt.retryAfterSeconds())
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	// Each range's answer follows the one before it, and the shed rows
+	// close the body, so the answers come out in input order.
 	out := b.out[:0]
 	defer func() { b.out = out }()
-	for _, line := range b.results {
-		if line == nil {
-			// Defensive: every slot is answered exactly once above; an
-			// unanswered one is a router bug, surfaced not hidden.
-			line = errLine("", "internal: row lost by router")
-		}
-		out = append(append(out, line...), '\n')
+	flushed := func() bool {
 		if len(out) < flushAt {
-			continue
+			return true
 		}
 		if _, err := w.Write(out); err != nil {
 			// Dead client mid-merge: cancel any stragglers and stop.
 			cancel()
-			return
+			return false
 		}
 		out = out[:0]
+		return true
+	}
+	for i := range b.spans {
+		sp := &b.spans[i]
+		for _, a := range sp.answers {
+			if out = append(out, a...); !flushed() {
+				return
+			}
+		}
+		if sp.restMsg != "" {
+			if out = appendErrLines(out, b.body[sp.rest:sp.hi], sp.restLine, sp.restMsg); !flushed() {
+				return
+			}
+		}
+	}
+	if shed > 0 {
+		out = appendErrLines(out, b.body[b.shedAt:], b.shedLine, shedMsg)
 	}
 	_, _ = w.Write(out) // an error means the client went away; there is no one to tell
 }
 
-// proxyRows drives sub-batch idx to completion: send, collect per-row
-// answers, and on a mid-stream replica failure fail the *unserved* tail
-// over to the least-loaded healthy peer — rows already answered stay
-// answered, so every row the router acknowledged is classified exactly
-// once regardless of how many replicas die on it.
-func (rt *Router) proxyRows(ctx context.Context, b *batch, idx int) {
-	s := &b.subs[idx]
-	rows := s.rows
+// split divides a body's rows into b.spans: contiguous ranges, one per
+// replica with room, the first to the replica with the fewest inflight
+// rows (see pick). Shares are even, each capped by its replica's room.
+// It returns how many rows the ranges hold; the rows after them are
+// shed, from b.shedAt on.
+func (rt *Router) split(b *batch, rows int) int {
+	cands := rt.pick(b.cands[:0])
+	b.cands = cands
+	room := 0
+	for _, c := range cands {
+		room += c.room
+	}
+	routed := min(rows, room)
+	// Fill the smallest rooms first, so a share a replica cannot take
+	// moves to the roomier ones before it.
+	left := routed
+	for i := len(cands) - 1; i >= 0; i-- {
+		cands[i].rows = min(cands[i].room, left/(i+1))
+		left -= cands[i].rows
+	}
+	b.spans = b.spans[:0]
+	off, lineno := 0, 1
+	for _, c := range cands {
+		if c.rows == 0 {
+			continue
+		}
+		b.spans = b.spans[:len(b.spans)+1]
+		sp := &b.spans[len(b.spans)-1]
+		*sp = span{rep: c.idx, rows: c.rows, lo: off, line: lineno, answers: sp.answers, tried: sp.tried}
+		off, lineno = skipRows(b.body, off, lineno, c.rows)
+		sp.hi = off
+	}
+	b.shedAt, b.shedLine = off, lineno
+	return routed
+}
+
+// proxySpan drives one range to completion: send, collect its answer
+// lines, and on a mid-stream replica failure fail the *unserved* rest
+// over to the least-loaded untried Healthy replica. Rows already
+// answered stay answered, so every row the router acknowledged is
+// classified exactly once regardless of how many replicas die on it.
+func (rt *Router) proxySpan(ctx context.Context, b *batch, sp *span) {
+	idx, off, lineno, rows := sp.rep, sp.lo, sp.line, sp.rows
 	for attempt := 0; ; attempt++ {
-		s.tried[idx] = true
+		sp.tried[idx] = true
 		rep := rt.reps[idx]
-		served, reason := rt.sendBatch(ctx, rep, b, s, rows, attempt)
-		if served == len(rows) {
-			rt.noteServed(rep, len(rows))
+		served, reason := rt.sendRange(ctx, rep, b, sp, off, lineno, rows, attempt)
+		if served == rows {
+			rt.noteServed(rep, rows)
 			return
 		}
 		if served > 0 {
 			rep.rowsC.Add(uint64(served))
 		}
-		// The rows are in body order and the answered ones a prefix, so
-		// the unserved tail is a suffix of the body: sendBatch resends
-		// it from rows[0].off without copying.
-		rows = rows[served:]
+		// The k answer lines pin the range's first k rows from off; the
+		// rest is resent from just past the k-th.
+		off, lineno = skipRows(b.body, off, lineno, served)
+		rows -= served
 		if ctx.Err() != nil {
 			// The downstream client is gone (or the batch was aborted):
 			// not a replica fault, so no failure accounting and no
-			// failover — just answer the slots for the merge's
-			// invariant and stop.
-			for _, rw := range rows {
-				b.results[rw.slot] = errLine(rw.id, "request canceled")
-			}
+			// failover — just answer the rest and stop.
+			sp.rest, sp.restLine, sp.restMsg = off, lineno, "request canceled"
 			return
 		}
 		rt.noteFailure(rep, reason)
 		rt.obs.failovers.Inc()
-		rt.logf("failover", "from", rep.url, "rows", len(rows), "reason", reason)
-		next := rt.route("", len(rows), func(i int) bool { return s.tried[i] })
+		rt.logf("failover", "from", rep.url, "rows", rows, "reason", reason)
+		next := rt.failoverTarget(rows, sp.tried)
 		if next < 0 {
-			for _, rw := range rows {
-				b.results[rw.slot] = errLine(rw.id, "no healthy replica available: "+reason)
-			}
-			rt.obs.shed.Add(uint64(len(rows)))
+			sp.rest, sp.restLine, sp.restMsg = off, lineno, "no healthy replica available: "+reason
+			rt.obs.shed.Add(uint64(rows))
+			rep.shedC.Add(uint64(rows))
 			return
 		}
 		idx = next
 	}
 }
 
-// sendBatch posts rows, a tail of sub-batch s, to a replica and maps its
-// NDJSON answer lines back onto the rows' slots, in order — vqserve
-// preserves input order, which is what makes the k-th answer line the
-// k-th row's. The answer is read into the attempt's own buffer, and the
-// slots are sliced out of it once it has stopped growing. It returns
+// sendRange posts the range's bytes from off, where its rows unserved
+// rows start at input line lineno, to a replica, and reads its
+// answer into the attempt's own buffer. vqserve preserves input order,
+// which is what makes the k-th answer line the k-th row's. It returns
 // how many rows were answered and, when not all were, why.
-func (rt *Router) sendBatch(ctx context.Context, rep *replica, b *batch, s *sub, rows []rowRef, attempt int) (int, string) {
-	n := int64(len(rows))
+func (rt *Router) sendRange(ctx context.Context, rep *replica, b *batch, sp *span, off, lineno, rows, attempt int) (int, string) {
+	n := int64(rows)
 	rep.inflight.Add(n)
 	rep.inflightG.Set(float64(rep.inflight.Load()))
 	defer func() {
@@ -430,12 +494,13 @@ func (rt *Router) sendBatch(ctx context.Context, rep *replica, b *batch, s *sub,
 	if err != nil {
 		return 0, err.Error()
 	}
-	tail := s.body[rows[0].off:]
-	req.Body, req.ContentLength = b.send(tail), int64(len(tail))
+	part := b.body[off:sp.hi]
+	req.Body, req.ContentLength = b.send(part), int64(len(part))
 	// The transport replays a request whose connection went stale
 	// before anything was written only when it can get the body again.
-	req.GetBody = func() (io.ReadCloser, error) { return b.send(tail), nil }
+	req.GetBody = func() (io.ReadCloser, error) { return b.send(part), nil }
 	req.Header.Set("Content-Type", "application/x-ndjson")
+	req.Header.Set(reqscan.FirstLineHeader, strconv.Itoa(lineno))
 	resp, err := rt.client.Do(req)
 	if err != nil {
 		return 0, err.Error()
@@ -445,36 +510,35 @@ func (rt *Router) sendBatch(ctx context.Context, rep *replica, b *batch, s *sub,
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return 0, fmt.Sprintf("replica HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
-	for len(s.answers) <= attempt {
-		s.answers = append(s.answers, nil)
+	for len(sp.answers) <= attempt {
+		sp.answers = append(sp.answers, nil)
 	}
-	ans, served, err := readAnswer(resp.Body, s.answers[attempt][:0], rows)
-	s.answers[attempt] = ans
-	for _, rw := range rows[:served] {
-		b.results[rw.slot] = ans[rw.lo:rw.hi:rw.hi]
-	}
+	ans, served, err := readAnswer(resp.Body, sp.answers[attempt][:0], rows)
+	sp.answers[attempt] = ans
 	if err != nil {
-		return served, fmt.Sprintf("response stream broke after %d of %d rows: %v", served, len(rows), err)
+		return served, fmt.Sprintf("response stream broke after %d of %d rows: %v", served, rows, err)
 	}
-	if served < len(rows) {
-		return served, fmt.Sprintf("replica answered %d of %d rows", served, len(rows))
+	if served < rows {
+		return served, fmt.Sprintf("replica answered %d of %d rows", served, rows)
 	}
 	return served, ""
 }
 
-// readAnswer reads a replica's answer into buf and marks the bounds of
-// its k-th non-blank line on rows[k], reading lines the way
-// bufio.ScanLines does (one trailing CR dropped). It returns the grown
-// buffer and how many rows were answered. A line answers its row only
-// once its newline arrived, or when the stream ended cleanly after it:
-// a line cut by a broken stream is part of the unserved tail. Lines
-// past the last row are read, so the connection can be reused, and
-// ignored. A line and its newline, with any blank or surplus lines
-// before it, must fit in the maxLine bytes after the last answer line.
-func readAnswer(r io.Reader, buf []byte, rows []rowRef) ([]byte, int, error) {
-	served := 0
-	start, from := 0, 0 // the first incomplete line, and where its newline search resumes
-	answered := 0       // the end of the last answer line, its newline included
+// readAnswer reads a replica's answer to rows rows into buf and
+// returns buf cut to its first answer lines, each ending in one
+// newline, and how many there are. Lines are read the way
+// bufio.ScanLines does: blank lines and one trailing CR are dropped,
+// compacting the buffer in place (a no-op on vqserve's own answers).
+// A line answers its row only once its newline arrived, or when the
+// stream ended cleanly after it: a line cut by a broken stream is part
+// of the unserved rest. Lines past the last row are read, so the
+// connection can be reused, and ignored. A line and its newline, with
+// any blank or surplus lines before it, must fit in the maxLine bytes
+// after the last answer line.
+func readAnswer(r io.Reader, buf []byte, rows int) ([]byte, int, error) {
+	served, kept := 0, 0 // answer lines, and the end of them in buf
+	start, from := 0, 0  // the first incomplete line, and where its newline search resumes
+	answered := 0        // where the last answer line ended as read, its newline included
 	for {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, max(cap(buf), 4096))
@@ -493,7 +557,7 @@ func readAnswer(r io.Reader, buf []byte, rows []rowRef) ([]byte, int, error) {
 				err = bufio.ErrTooLong
 				break
 			}
-			if served < len(rows) && markLine(buf, start, end, &rows[served]) {
+			if served < rows && keepLine(buf, start, end, &kept) {
 				served++
 				answered = from
 			}
@@ -504,29 +568,37 @@ func readAnswer(r io.Reader, buf []byte, rows []rowRef) ([]byte, int, error) {
 		}
 		if err == io.EOF {
 			// A clean end completes the last line.
-			if served < len(rows) && len(buf)-answered <= maxLine && markLine(buf, start, len(buf), &rows[served]) {
-				served++
+			if end := len(buf); served < rows && end-answered <= maxLine {
+				if buf = append(buf, '\n'); keepLine(buf, start, end, &kept) {
+					served++
+				}
 			}
-			return buf, served, nil
+			return buf[:kept], served, nil
 		}
 		if err != nil {
-			if served == len(rows) {
-				return buf, served, nil
+			if served == rows {
+				return buf[:kept], served, nil
 			}
-			return buf, served, err
+			return buf[:kept], served, err
 		}
 	}
 }
 
-// markLine records buf[start:end] as rw's answer, less one trailing CR,
-// and reports false for a blank line.
-func markLine(buf []byte, start, end int, rw *rowRef) bool {
+// keepLine moves buf[start:end], less one trailing CR, and a newline to
+// buf[*kept:], and reports false for a blank line. buf[end] is the
+// line's newline.
+func keepLine(buf []byte, start, end int, kept *int) bool {
 	if end > start && buf[end-1] == '\r' {
 		end--
 	}
 	if end == start {
 		return false
 	}
-	rw.lo, rw.hi = start, end
+	if *kept != start {
+		copy(buf[*kept:], buf[start:end])
+	}
+	*kept += end - start
+	buf[*kept] = '\n' // over a dropped CR, if there was one
+	*kept++
 	return true
 }

@@ -243,16 +243,9 @@ func TestProxyFailoverExactlyOnce(t *testing.T) {
 		panic(http.ErrAbortHandler)
 	}
 
-	var ids, toBroken []string
-	for i := 0; len(toBroken) < 3 || len(ids)-len(toBroken) < 3; i++ {
-		id := fmt.Sprintf("sess-%d", i)
-		ids = append(ids, id)
-		if rt.ring.owner(id) == 0 {
-			toBroken = append(toBroken, id)
-		}
-		if i > 1000 {
-			t.Fatal("ring never assigned enough sessions to both replicas")
-		}
+	var ids []string
+	for i := 0; i < 8; i++ {
+		ids = append(ids, fmt.Sprintf("sess-%d", i))
 	}
 
 	rec := httptest.NewRecorder()
@@ -278,6 +271,11 @@ func TestProxyFailoverExactlyOnce(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("row %s answered %d times", id, n)
 		}
+	}
+	// The range sent to replica 0, the broken one, is its first batch.
+	toBroken := broken.servedIDs()
+	if len(toBroken) < 3 || len(ids)-len(toBroken) < 3 {
+		t.Fatalf("the broken replica's range holds %d of %d rows, want at least 3 each side", len(toBroken), len(ids))
 	}
 	// The failed-over tail must be exactly the broken replica's batch
 	// minus the one row it served — nothing re-sent, nothing dropped.
@@ -390,7 +388,8 @@ func TestProxyClientDisconnectCancelsUpstream(t *testing.T) {
 // TestReadAnswer pins how a replica answer is cut into row answers: a
 // line answers its row once its newline arrived or the stream ended
 // cleanly after it, blank and CR-only lines answer nothing, surplus
-// lines are ignored, and a line past maxLine stops the read.
+// lines are ignored, and a line past maxLine stops the read. The
+// answers come back as whole lines, one newline each.
 func TestReadAnswer(t *testing.T) {
 	broken := errors.New("connection reset")
 	cut := func(s string) io.Reader { return io.MultiReader(strings.NewReader(s), iotest.ErrReader(broken)) }
@@ -415,14 +414,17 @@ func TestReadAnswer(t *testing.T) {
 		{"longest line", strings.NewReader(long[1:] + "\nb\n"), 2, []string{long[1:], "b"}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rows := make([]rowRef, tc.rows)
-			buf, served, err := readAnswer(tc.r, nil, rows)
+			ans, served, err := readAnswer(tc.r, nil, tc.rows)
 			if !errors.Is(err, tc.errIs) {
 				t.Fatalf("err %v, want %v", err, tc.errIs)
 			}
-			var got []string
-			for _, rw := range rows[:served] {
-				got = append(got, string(buf[rw.lo:rw.hi]))
+			got := strings.SplitAfter(string(ans), "\n")
+			if got[len(got)-1] != "" || len(got)-1 != served {
+				t.Fatalf("%d answers in %.60q, want %d lines each ending in a newline", served, ans, len(got)-1)
+			}
+			got = got[:served]
+			for i := range got {
+				got[i] = strings.TrimSuffix(got[i], "\n")
 			}
 			if !slices.Equal(got, tc.want) {
 				t.Fatalf("answers %.60q, want %.60q", got, tc.want)

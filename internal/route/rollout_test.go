@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -213,54 +214,21 @@ func TestRolloutHTTPEndpoint(t *testing.T) {
 	}
 }
 
-// BenchmarkRouterDiagnose times one 100-row narrow /diagnose body per
-// iteration through the router over two real engines, the router's
-// scan, fan-out, answer reads and merge plus both replicas' work; ns/row
-// is the figure that reads against serve's BenchmarkDiagnoseHandlerNarrow.
-func BenchmarkRouterDiagnose(b *testing.B) {
-	a, c := startEngine(b, "h1", nil), startEngine(b, "h1", nil)
-	rt := newRouter(b, Config{Replicas: []string{a.URL, c.URL}})
-
-	const rows = 100
-	ids := make([]string, rows)
+// benchBody is the 100-row narrow /diagnose body the router benches
+// send.
+func benchBody() string {
+	ids := make([]string, benchRows)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("sess-%d", i)
 	}
-	body := ndjson(ids...)
-	h := rt.Handler()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("HTTP %d", rec.Code)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	return ndjson(ids...)
 }
 
-// BenchmarkRouterFailover measures the full failover round trip: the
-// first replica rejects every batch, the tail re-routes to the second.
-func BenchmarkRouterFailover(b *testing.B) {
-	broken := newScriptedReplica(b)
-	broken.serveRows = func(w http.ResponseWriter, _ *http.Request, _ []string) {
-		http.Error(w, "synthetic replica failure", http.StatusInternalServerError)
-	}
-	healthy := newScriptedReplica(b)
-	// EjectAfter is effectively infinite so the broken replica keeps
-	// absorbing (and failing) its sticky traffic every iteration.
-	rt := newRouter(b, Config{Replicas: []string{broken.srv.URL, healthy.srv.URL}, EjectAfter: 1 << 30})
+const benchRows = 100
 
-	var id string
-	for i := 0; ; i++ {
-		id = fmt.Sprintf("sess-%d", i)
-		if rt.ring.owner(id) == 0 {
-			break
-		}
-	}
-	body := ndjson(id)
-	h := rt.Handler()
+// benchPost sends body through h b.N times and reports ns/row beside
+// ns/op.
+func benchPost(b *testing.B, h http.Handler, body string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -270,7 +238,41 @@ func BenchmarkRouterFailover(b *testing.B) {
 			b.Fatalf("HTTP %d", rec.Code)
 		}
 	}
-	if rt.obs.failovers.Value() == 0 {
-		b.Fatal("benchmark never exercised the failover path")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchRows), "ns/row")
+}
+
+// BenchmarkRouterDiagnose times one 100-row narrow /diagnose body per
+// iteration through the router over two real engines, the router's
+// split, fan-out, answer reads and merge plus both replicas' work;
+// ns/row is the figure that reads against serve's
+// BenchmarkDiagnoseHandlerNarrow.
+func BenchmarkRouterDiagnose(b *testing.B) {
+	a, c := startEngine(b, "h1", nil), startEngine(b, "h1", nil)
+	rt := newRouter(b, Config{Replicas: []string{a.URL, c.URL}})
+	benchPost(b, rt.Handler(), benchBody())
+}
+
+// BenchmarkRouterFailover times the same body when its first range
+// fails: the replica it goes to answers one row and then its
+// connection dies, and the range's other rows fail over to a real
+// engine, which also answers the second range. Read against
+// BenchmarkRouterDiagnose, it is the cost of detecting the failure and
+// re-routing.
+func BenchmarkRouterFailover(b *testing.B) {
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		io.WriteString(w, `{"id":"sess-0","class":"lan_cong_severe","severity":"severe","cause":"lan_cong"}`+"\n")
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	b.Cleanup(broken.Close)
+	healthy := startEngine(b, "h1", nil)
+	// EjectAfter is effectively infinite so the broken replica keeps
+	// taking (and failing) the first range every iteration.
+	rt := newRouter(b, Config{Replicas: []string{broken.URL, healthy.URL}, EjectAfter: 1 << 30})
+	benchPost(b, rt.Handler(), benchBody())
+	if rt.obs.failovers.Value() < uint64(b.N) {
+		b.Fatalf("%d failovers in %d iterations", rt.obs.failovers.Value(), b.N)
 	}
 }

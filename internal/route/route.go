@@ -1,8 +1,8 @@
 // Package route is the fleet-mode router tier: one vqroute process
-// fronts N vqserve replicas, spreading /diagnose NDJSON traffic across
-// them with a consistent-hash ring (sticky by session ID, so
-// per-session state such as explain caches stays on one replica) and a
-// least-loaded fallback, managing replica health (poll /healthz, eject
+// fronts N vqserve replicas, splitting each /diagnose NDJSON body into
+// contiguous line ranges, one per replica with room, without parsing
+// a line (a row is one whole session's features, so no row needs a
+// particular replica), managing replica health (poll /healthz, eject
 // on repeated failure, hold traffic shifts and rollouts when a replica
 // reports degraded), coordinating staged model rollouts (canary →
 // verify model hash → fan out), and propagating backpressure between
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,15 +34,14 @@ import (
 type State int32
 
 const (
-	// Healthy replicas receive their hash-owned traffic and serve as
-	// fallback targets for failed or saturated peers.
+	// Healthy replicas receive ranges and serve as failover targets
+	// for failed peers.
 	Healthy State = iota
 	// Degraded replicas are alive but self-reported degraded (a failed
-	// model reload: serving from the last-good snapshot). They keep
-	// their sticky traffic — shifting it would churn session state for
-	// a replica that still answers correctly — but never receive
-	// failover traffic, and any staged rollout holds until they
-	// recover.
+	// model reload: serving from the last-good snapshot). They still
+	// answer correctly, so they receive ranges when no Healthy replica
+	// has room, but never failover traffic, and any staged rollout
+	// holds until they recover.
 	Degraded
 	// Down replicas failed EjectAfter consecutive health probes (or
 	// proxy attempts) and receive no traffic until a probe succeeds.
@@ -79,15 +79,13 @@ type Config struct {
 	// typically time.Now, injected so the package itself never reads
 	// the clock. Nil disables latency observation.
 	Clock func() time.Time
-	// VNodes is the virtual-node count per replica on the hash ring.
-	// Zero selects 64.
-	VNodes int
 	// EjectAfter is how many consecutive failed probes (health polls or
 	// proxy attempts) eject a replica to Down. Zero selects 3.
 	EjectAfter int
-	// MaxInflight caps outstanding proxied rows per replica; rows
-	// beyond it try the least-loaded fallback and are shed at the
-	// router when no replica has room. Zero selects 1024.
+	// MaxInflight caps outstanding proxied rows per replica: a range
+	// holds at most its replica's room under it, and rows beyond the
+	// room of the replicas a body is split over are shed at the
+	// router. Zero selects 1024.
 	MaxInflight int
 	// RetryAfter is the client backoff hint on 429 responses and shed
 	// rows. Zero selects 1s.
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Registry == nil {
 		c.Registry = metrics.NewRegistry()
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.EjectAfter <= 0 {
 		c.EjectAfter = 3
@@ -168,7 +163,6 @@ type Router struct {
 	reg    *metrics.Registry
 	log    *slog.Logger
 	reps   []*replica
-	ring   ring
 
 	rolloutMu sync.Mutex // one staged rollout at a time
 
@@ -186,20 +180,18 @@ type routerObs struct {
 
 // New builds a router over the configured replica set. The replica list
 // is fixed for the router's lifetime: fleet membership changes are a
-// restart (the hash ring must agree across router instances anyway).
+// restart.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("route: no replicas configured")
 	}
 	rt := &Router{cfg: cfg, client: cfg.Client, reg: cfg.Registry, log: cfg.Logger}
-	urls := make([]string, len(cfg.Replicas))
 	for i, u := range cfg.Replicas {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
 		if u == "" {
 			return nil, fmt.Errorf("route: replica %d: empty URL", i)
 		}
-		urls[i] = u
 		rep := &replica{
 			url:       u,
 			idx:       i,
@@ -207,7 +199,7 @@ func New(cfg Config) (*Router, error) {
 			degradedG: rt.reg.Gauge(fmt.Sprintf("vqroute_replica_degraded{replica=%q}", u), "replica self-reports degraded (serving last-good model)"),
 			inflightG: rt.reg.Gauge(fmt.Sprintf("vqroute_replica_inflight{replica=%q}", u), "rows currently proxied to this replica"),
 			rowsC:     rt.reg.Counter(fmt.Sprintf("vqroute_replica_rows_total{replica=%q}", u), "rows answered by this replica"),
-			shedC:     rt.reg.Counter(fmt.Sprintf("vqroute_replica_shed_total{replica=%q}", u), "rows refused at this replica (saturated or down) during routing"),
+			shedC:     rt.reg.Counter(fmt.Sprintf("vqroute_replica_shed_total{replica=%q}", u), "rows of this replica's failed range shed because no other replica could take them"),
 			errsC:     rt.reg.Counter(fmt.Sprintf("vqroute_replica_errors_total{replica=%q}", u), "transport or protocol failures against this replica"),
 		}
 		// Replicas start healthy: the first poll corrects optimism, and
@@ -215,12 +207,11 @@ func New(cfg Config) (*Router, error) {
 		rep.healthyG.Set(1)
 		rt.reps = append(rt.reps, rep)
 	}
-	rt.ring = buildRing(urls, cfg.VNodes)
 	rt.obs = routerObs{
 		requests:     rt.reg.Counter("vqroute_requests_total", "proxied /diagnose requests"),
-		rows:         rt.reg.Counter("vqroute_rows_total", "NDJSON rows accepted for routing"),
+		rows:         rt.reg.Counter("vqroute_rows_total", "non-blank NDJSON lines accepted for routing"),
 		shed:         rt.reg.Counter("vqroute_shed_total", "rows shed at the router (no replica with capacity)"),
-		failovers:    rt.reg.Counter("vqroute_failovers_total", "sub-batches re-routed after a replica failure"),
+		failovers:    rt.reg.Counter("vqroute_failovers_total", "ranges re-routed after a replica failure"),
 		healthPolls:  rt.reg.Counter("vqroute_health_polls_total", "completed health sweeps"),
 		rollouts:     rt.reg.Counter("vqroute_rollouts_total", "staged rollouts completed"),
 		rolloutsHeld: rt.reg.Counter("vqroute_rollouts_held_total", "staged rollouts held (degraded replica, hash mismatch, or canary failure)"),
@@ -324,40 +315,37 @@ func (rt *Router) noteServed(rep *replica, rows int) {
 // routable says whether the replica may receive traffic at all.
 func (rep *replica) routable() bool { return State(rep.state.Load()) != Down }
 
-// underLimit says whether the replica has inflight room for n more rows.
-func (rep *replica) underLimit(n int, max int) bool {
-	return rep.inflight.Load()+int64(n) <= int64(max)
+// cand is one replica offered a range: its index, its room under
+// MaxInflight and the rows it is given.
+type cand struct{ idx, room, rows int }
+
+// pick appends the replicas a body's ranges go to: every Healthy
+// replica with room, or, when none has any, every Degraded one with
+// room. They come fewest inflight rows first, ties in config order.
+func (rt *Router) pick(cands []cand) []cand {
+	for _, want := range [...]State{Healthy, Degraded} {
+		for i, rep := range rt.reps {
+			if room := rt.cfg.MaxInflight - int(rep.inflight.Load()); room > 0 && State(rep.state.Load()) == want {
+				cands = append(cands, cand{idx: i, room: room})
+			}
+		}
+		if len(cands) > 0 {
+			break
+		}
+	}
+	slices.SortStableFunc(cands, func(a, b cand) int { return b.room - a.room })
+	return cands
 }
 
-// route picks the replica for one row: the ring owner when the session
-// ID's primary is routable and has room (a Degraded primary keeps its
-// sticky traffic — the hold on traffic shifts), otherwise the
-// least-loaded Healthy replica, otherwise -1 (shed at the router).
-// excluded marks replicas already tried by this row's failover walk.
-func (rt *Router) route(id string, rows int, excluded func(int) bool) int {
-	if id != "" {
-		p := rt.ring.owner(id)
-		rep := rt.reps[p]
-		if excluded == nil || !excluded(p) {
-			if rep.routable() && rep.underLimit(rows, rt.cfg.MaxInflight) {
-				return p
-			}
-			// The sticky owner refused (saturated or down): record the
-			// refusal against it even if a fallback absorbs the row.
-			rep.shedC.Add(uint64(rows))
+// failoverTarget picks where a failed range's unserved rows go: the
+// least-loaded Healthy replica not yet tried with room for them all,
+// or -1 when there is none. A Degraded replica is never a failover
+// target.
+func (rt *Router) failoverTarget(rows int, tried []bool) int {
+	for _, c := range rt.pick(nil) {
+		if !tried[c.idx] && c.room >= rows && State(rt.reps[c.idx].state.Load()) == Healthy {
+			return c.idx
 		}
 	}
-	best, bestLoad := -1, int64(0)
-	for i, rep := range rt.reps {
-		if excluded != nil && excluded(i) {
-			continue
-		}
-		if State(rep.state.Load()) != Healthy || !rep.underLimit(rows, rt.cfg.MaxInflight) {
-			continue
-		}
-		if load := rep.inflight.Load(); best == -1 || load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
-	return best
+	return -1
 }

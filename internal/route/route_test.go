@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -111,71 +111,118 @@ func newRouter(t testing.TB, cfg Config) *Router {
 	return rt
 }
 
-// --- routing picker -------------------------------------------------
+// --- range split ----------------------------------------------------
 
-func TestRouteStickyOwner(t *testing.T) {
-	rt := newRouter(t, Config{Replicas: []string{"http://a", "http://b", "http://c"}})
-	owner := rt.route("session-42", 1, nil)
-	if owner < 0 {
-		t.Fatal("healthy fleet refused a row")
+// splitOf runs the router's split on body and reports, per range, the
+// replica and row count, plus the rows routed.
+func splitOf(rt *Router, body string) ([][2]int, int) {
+	b := getBatch(len(rt.reps))
+	defer b.release()
+	b.body = append(b.body, body...)
+	rows, err := countRows(b.body)
+	if err != nil {
+		panic(err)
 	}
-	for i := 0; i < 50; i++ {
-		if got := rt.route("session-42", 1, nil); got != owner {
-			t.Fatalf("sticky routing broke: pick %d then %d", owner, got)
-		}
+	routed := rt.split(b, rows)
+	var got [][2]int
+	for _, sp := range b.spans {
+		got = append(got, [2]int{sp.rep, sp.rows})
 	}
-	if owner != rt.ring.owner("session-42") {
-		t.Fatalf("route() picked %d, ring owner is %d", owner, rt.ring.owner("session-42"))
+	return got, routed
+}
+
+// TestRouteSplitFewestInflightFirst: ranges are even, and the replica
+// with the fewest inflight rows takes the first one (and the larger
+// share of an odd body).
+func TestRouteSplitFewestInflightFirst(t *testing.T) {
+	rt := newRouter(t, Config{Replicas: []string{"http://a", "http://b"}})
+	if got, routed := splitOf(rt, ndjson("s0", "s1", "s2", "s3", "s4", "s5", "s6")); routed != 7 || !slices.Equal(got, [][2]int{{0, 4}, {1, 3}}) {
+		t.Fatalf("idle fleet split %v (%d routed), want [[0 4] [1 3]]", got, routed)
+	}
+	rt.reps[0].inflight.Store(10)
+	if got, _ := splitOf(rt, ndjson("s0", "s1", "s2", "s3", "s4", "s5", "s6")); !slices.Equal(got, [][2]int{{1, 4}, {0, 3}}) {
+		t.Fatalf("split with replica 0 busier: %v, want [[1 4] [0 3]]", got)
+	}
+	if got, _ := splitOf(rt, ndjson("only")); !slices.Equal(got, [][2]int{{1, 1}}) {
+		t.Fatalf("one-row body split %v, want it all on the idler replica 1", got)
 	}
 }
 
 func TestRouteFallbackWhenOwnerDown(t *testing.T) {
 	rt := newRouter(t, Config{Replicas: []string{"http://a", "http://b"}})
-	owner := rt.ring.owner("sess")
-	rt.reps[owner].state.Store(int32(Down))
-	got := rt.route("sess", 1, nil)
-	if got == owner || got < 0 {
-		t.Fatalf("down owner %d still picked (got %d)", owner, got)
+	rt.reps[0].state.Store(int32(Down))
+	if got, routed := splitOf(rt, ndjson("s0", "s1", "s2")); routed != 3 || !slices.Equal(got, [][2]int{{1, 3}}) {
+		t.Fatalf("down replica 0 still given rows: %v (%d routed)", got, routed)
 	}
-	rt.reps[1-owner].state.Store(int32(Down))
-	if got := rt.route("sess", 1, nil); got != -1 {
-		t.Fatalf("fully down fleet routed to %d, want shed", got)
+	rt.reps[1].state.Store(int32(Down))
+	if got, routed := splitOf(rt, ndjson("s0")); routed != 0 || len(got) != 0 {
+		t.Fatalf("fully down fleet routed %d rows to %v, want shed", routed, got)
 	}
 }
 
-func TestRouteDegradedKeepsStickyButNoFailover(t *testing.T) {
-	rt := newRouter(t, Config{Replicas: []string{"http://a", "http://b"}})
-	owner := rt.ring.owner("sess")
-	rt.reps[owner].state.Store(int32(Degraded))
-	// A degraded owner keeps its sticky traffic: it still answers
-	// correctly from the last-good model, and shifting would churn
-	// session state for nothing.
-	if got := rt.route("sess", 1, nil); got != owner {
-		t.Fatalf("degraded owner lost its sticky traffic: want %d got %d", owner, got)
-	}
-	// But it must never absorb other replicas' failover rows.
-	if got := rt.route("", 1, func(i int) bool { return i == 1-owner }); got != -1 {
-		t.Fatalf("degraded replica %d accepted failover traffic (got %d)", owner, got)
-	}
-}
-
-func TestRouteRespectsMaxInflight(t *testing.T) {
+// TestRouteDegradedOnlyWithoutHealthyRoom pins the Degraded rule: a
+// Degraded replica gets a range only when no Healthy replica has room,
+// and it is never a failover target.
+func TestRouteDegradedOnlyWithoutHealthyRoom(t *testing.T) {
 	rt := newRouter(t, Config{Replicas: []string{"http://a", "http://b"}, MaxInflight: 4})
-	owner := rt.ring.owner("sess")
-	rt.reps[owner].inflight.Store(4)
-	got := rt.route("sess", 1, nil)
-	if got == owner {
-		t.Fatal("saturated owner still picked")
+	rt.reps[0].state.Store(int32(Degraded))
+	rt.reps[1].inflight.Store(3)
+	if got, routed := splitOf(rt, ndjson("s0", "s1")); routed != 1 || !slices.Equal(got, [][2]int{{1, 1}}) {
+		t.Fatalf("with Healthy room left: %v (%d routed), want one row on replica 1 and none on the Degraded one", got, routed)
 	}
-	if got < 0 {
-		t.Fatal("fallback with room refused the row")
+	rt.reps[1].inflight.Store(4)
+	if got, routed := splitOf(rt, ndjson("s0", "s1")); routed != 2 || !slices.Equal(got, [][2]int{{0, 2}}) {
+		t.Fatalf("with no Healthy room: %v (%d routed), want both rows on the Degraded replica 0", got, routed)
 	}
-	if rt.reps[owner].shedC.Value() != 1 {
-		t.Fatalf("owner refusal not recorded: shedC=%d", rt.reps[owner].shedC.Value())
+	if got := rt.failoverTarget(1, []bool{false, true}); got != -1 {
+		t.Fatalf("Degraded replica 0 accepted failover traffic (got %d)", got)
 	}
-	rt.reps[1-owner].inflight.Store(4)
-	if got := rt.route("sess", 1, nil); got != -1 {
-		t.Fatalf("fully saturated fleet routed to %d, want shed", got)
+	rt.reps[1].inflight.Store(0)
+	if got := rt.failoverTarget(1, []bool{true, false}); got != 1 {
+		t.Fatalf("failover from replica 0 went to %d, want the Healthy replica 1", got)
+	}
+}
+
+// TestRouteRespectsMaxInflight: a range holds at most its replica's
+// room under MaxInflight, and the rows past the fleet's room are shed at
+// the router, answered in place with the overload error after the
+// routed ones.
+func TestRouteRespectsMaxInflight(t *testing.T) {
+	a, b := newScriptedReplica(t), newScriptedReplica(t)
+	rt := newRouter(t, Config{Replicas: []string{a.srv.URL, b.srv.URL}, MaxInflight: 4})
+	rt.reps[0].inflight.Store(4)
+	rt.reps[1].inflight.Store(1)
+	ids := []string{"s0", "s1", "s2", "s3", "s4"}
+	body := ndjson(ids[:3]...) + "\r\n" + ndjson(ids[3:]...)
+	if got, routed := splitOf(rt, body); routed != 3 || !slices.Equal(got, [][2]int{{1, 3}}) {
+		t.Fatalf("split %v (%d routed), want 3 rows on replica 1 and none on the saturated replica 0", got, routed)
+	}
+
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", strings.NewReader(body)))
+	if rec.Code != http.StatusOK || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("HTTP %d, Retry-After %q: %s", rec.Code, rec.Header().Get("Retry-After"), rec.Body.String())
+	}
+	rows := readRows(t, rec.Body)
+	if len(rows) != len(ids) {
+		t.Fatalf("got %d answers for %d rows", len(rows), len(ids))
+	}
+	for i, r := range rows {
+		if r.ID != ids[i] {
+			t.Fatalf("answer %d is %q's, want %q's", i, r.ID, ids[i])
+		}
+		if shed := strings.HasPrefix(r.Err, "router overloaded"); shed != (i >= 3) {
+			t.Fatalf("answer %d: %+v; only rows past the room may be shed", i, r)
+		}
+	}
+	if got := b.servedIDs(); !slices.Equal(got, ids[:3]) {
+		t.Fatalf("replica 1 served %v, want %v", got, ids[:3])
+	}
+	if len(a.servedIDs()) != 0 {
+		t.Fatal("the saturated replica still got rows")
+	}
+	if got := rt.obs.shed.Value(); got != 2 {
+		t.Fatalf("shed counter %d, want 2", got)
 	}
 }
 
@@ -242,99 +289,5 @@ func TestHealthTransitions(t *testing.T) {
 	}
 	if got := rt.obs.healthPolls.Value(); got != 5 {
 		t.Fatalf("healthPolls=%d, want 5", got)
-	}
-}
-
-// --- ring -----------------------------------------------------------
-
-func TestRingDeterministicAndBalanced(t *testing.T) {
-	urls := []string{"http://a", "http://b", "http://c"}
-	r1, r2 := buildRing(urls, 64), buildRing(urls, 64)
-	if len(r1.points) != len(urls)*64 {
-		t.Fatalf("ring has %d points, want %d", len(r1.points), len(urls)*64)
-	}
-	for i := range r1.points {
-		if r1.points[i] != r2.points[i] {
-			t.Fatalf("ring build is not deterministic at point %d", i)
-		}
-	}
-	owned := make(map[int]int)
-	for i := 0; i < 3000; i++ {
-		owned[r1.owner(fmt.Sprintf("session-%d", i))]++
-	}
-	for idx := range urls {
-		if owned[idx] == 0 {
-			t.Fatalf("replica %d owns no sessions: %v", idx, owned)
-		}
-	}
-	// Same ID, same owner — forever.
-	for i := 0; i < 100; i++ {
-		if r1.owner("pinned") != r2.owner("pinned") {
-			t.Fatal("owner lookup is unstable")
-		}
-	}
-}
-
-// TestRingBalancedForPortOnlyURLs is the regression pin for the hash
-// finalizer: raw FNV-64a clustered vnode points for URLs differing only
-// in the port (the standard local-fleet layout), to the point of one
-// replica owning zero sessions for some port pairs.
-func TestRingBalancedForPortOnlyURLs(t *testing.T) {
-	for port := 30000; port < 60000; port += 101 {
-		urls := []string{
-			fmt.Sprintf("http://127.0.0.1:%d", port),
-			fmt.Sprintf("http://127.0.0.1:%d", port+2),
-		}
-		r := buildRing(urls, 64)
-		owned := [2]int{}
-		for i := 0; i < 1000; i++ {
-			owned[r.owner(fmt.Sprintf("session-%d", i))]++
-		}
-		// 20% minimum share: loose enough for hash noise, tight enough
-		// that the pre-fix degenerate layouts (0–2 sessions) fail loudly.
-		if owned[0] < 200 || owned[1] < 200 {
-			t.Fatalf("ports %d/%d: lopsided ownership %v", port, port+2, owned)
-		}
-	}
-}
-
-// TestRingHashMatchesFNV pins the inline hash to hash/fnv's FNV-64a
-// followed by the same avalanche mixer, on empty, ASCII, non-ASCII and
-// long strings.
-func TestRingHashMatchesFNV(t *testing.T) {
-	ref := func(s string) uint64 {
-		h := fnv.New64a()
-		h.Write([]byte(s))
-		x := h.Sum64()
-		x ^= x >> 33
-		x *= 0xff51afd7ed558ccd
-		x ^= x >> 33
-		x *= 0xc4ceb9fe1a85ec53
-		x ^= x >> 33
-		return x
-	}
-	inputs := []string{"", "a", "s0", "sess-42", "http://127.0.0.1:8701#63", "ünïcødé  ", "\x00\xff\xfe", strings.Repeat("long-session-id/", 500)}
-	for _, s := range inputs {
-		if got, want := fnv64(s), ref(s); got != want {
-			t.Errorf("fnv64(%.40q) = %#x, want %#x", s, got, want)
-		}
-	}
-}
-
-// TestRingOwnersGolden pins where fixed session IDs land on a fixed
-// three-replica ring, so sticky sessions keep their replica across
-// router upgrades.
-func TestRingOwnersGolden(t *testing.T) {
-	rg := buildRing([]string{"http://127.0.0.1:8701", "http://127.0.0.1:8702", "http://127.0.0.1:8703"}, 64)
-	ids := []string{"", "s0", "s1", "sess-7", "sess-42", "client-9/session-12", "ünïcødé", "<s5>& ", "a-very-long-session-identifier-0123456789abcdef0123456789abcdef"}
-	want := []int{2, 1, 1, 0, 1, 0, 0, 1, 2}
-	for i := 0; i < 24; i++ {
-		ids = append(ids, fmt.Sprintf("sess-%d", i))
-	}
-	want = append(want, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 2, 1, 1, 2, 1, 0, 1)
-	for i, id := range ids {
-		if got := rg.owner(id); got != want[i] {
-			t.Errorf("owner(%q) = %d, want %d", id, got, want[i])
-		}
 	}
 }

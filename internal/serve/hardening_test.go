@@ -9,11 +9,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"vqprobe/internal/reqscan"
 )
 
 // TestWorkerPanicRecovered pins the tentpole serving bug: a panic while
@@ -286,5 +289,44 @@ func TestDiagnoseTrueLineNumbers(t *testing.T) {
 	resp.Body.Close()
 	if !strings.Contains(string(out), "line 3:") {
 		t.Fatalf("malformed line reported with wrong number:\n%s", out)
+	}
+}
+
+// TestDiagnoseFirstLineHeader: the first-line header vqroute sets starts
+// the per-line numbering where the client's body put the range; absent,
+// numbering starts at 1, and a value that is not a positive integer is
+// refused before any line is read.
+func TestDiagnoseFirstLineHeader(t *testing.T) {
+	e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 1})
+	defer e.Close()
+	h := e.Handler()
+	body := "\r\n{not json\n{\"id\":\"b\",\"features\":{\"mobile.rtt\":50}}\n"
+	post := func(first string, set bool) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/diagnose", strings.NewReader(body))
+		if set {
+			req.Header.Set(reqscan.FirstLineHeader, first)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, tc := range []struct {
+		first string
+		set   bool
+		want  string
+	}{
+		{"", false, `{"error":"line 2: `},
+		{"1", true, `{"error":"line 2: `},
+		{"41", true, `{"error":"line 42: `},
+	} {
+		rec := post(tc.first, tc.set)
+		if rec.Code != http.StatusOK || !strings.HasPrefix(rec.Body.String(), tc.want) {
+			t.Errorf("first line %q (set %v): HTTP %d %q, want an answer starting %q", tc.first, tc.set, rec.Code, rec.Body.String(), tc.want)
+		}
+	}
+	for _, bad := range []string{"0", "-3", "x"} {
+		if rec := post(bad, true); rec.Code != http.StatusBadRequest {
+			t.Errorf("first line %q: HTTP %d %q, want 400", bad, rec.Code, rec.Body.String())
+		}
 	}
 }

@@ -43,7 +43,9 @@ const flushAt = 32 << 10
 //	GET  /metrics   Prometheus text exposition
 //	POST /diagnose  NDJSON batch: one {"id","features"} object per line
 //	                (add "explain":true for the decision path), one
-//	                result object per line, input order preserved
+//	                result object per line, input order preserved; a
+//	                reqscan.FirstLineHeader value numbers the first line
+//	                in per-line errors (vqroute sets it on each range)
 //	POST /-/reload  re-run Config.ReloadFunc and hot-swap the model
 //
 // When Config.Tracer is set, GET /debug/trace dumps the span ring
@@ -108,6 +110,11 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST NDJSON to /diagnose", http.StatusMethodNotAllowed)
 		return
 	}
+	first, err := reqscan.FirstLine(r.Header.Get(reqscan.FirstLineHeader))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	buf := lineBufs.Get().(*[]byte)
 	defer lineBufs.Put(buf)
 	sc := bufio.NewScanner(r.Body)
@@ -135,7 +142,7 @@ func (e *Engine) handleDiagnose(w http.ResponseWriter, r *http.Request) {
 	var (
 		reqs   []Request
 		bad    []lineError
-		lineno int // true input line number, blank lines included
+		lineno = first - 1 // true input line number, blank lines included
 	)
 	for sc.Scan() {
 		lineno++

@@ -20,9 +20,9 @@
 # directly (see docs/PERFORMANCE.md for the methodology). The router
 # set drives full /diagnose round trips through an in-process vqroute
 # handler: a 100-row narrow body over two loopback engines, with ns/row
-# beside ns/op, and the failover bench, whose ns/op is the
-# detect-and-re-route latency for a batch whose sticky replica rejects
-# it (docs/ROUTING.md). The decode
+# beside ns/op, and the failover bench: the same body, whose first
+# range's replica answers one row and dies, so the rest of that range
+# fails over to a real engine (docs/ROUTING.md). The decode
 # set times the /diagnose line scanner on one row per iteration: a
 # bulk-wide row (358 features, 10 read) and a bulk-narrow one (the 10
 # alone). The handler set (serve.http) times one in-process /diagnose

@@ -57,9 +57,9 @@ def parse(stream):
                 entry["snapshot_load_ms"] = round(entry["ns_op"] / 1e6, 3)
             if m.group(1).startswith("BenchmarkSelfLint"):
                 entry["self_lint_ms"] = round(entry["ns_op"] / 1e6, 1)
-            # One failover-bench iteration is one single-row batch that
-            # fails on its sticky replica and re-routes: ns/op is the
-            # full detect-and-re-route latency.
+            # One failover-bench iteration is one 100-row body whose
+            # first range fails after one row and re-routes its rest:
+            # ns/op is the whole body's latency, failover included.
             if m.group(1) == "BenchmarkRouterFailover":
                 entry["failover_ms"] = round(entry["ns_op"] / 1e6, 3)
             out[m.group(1)] = entry

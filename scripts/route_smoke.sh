@@ -91,8 +91,8 @@ if grep -q '"error":' "$tmp/out.ndjson"; then
   grep '"error":' "$tmp/out.ndjson" >&2
   exit 1
 fi
-# Sticky consistent hashing must have spread 60 sessions over both
-# replicas (the avalanche-mixed ring guarantees a non-degenerate split).
+# The range split must have spread the 60 rows over both replicas (two
+# idle replicas take 30 each).
 curl -fsS "http://$A_ADDR/metrics" >"$tmp/a.metrics"
 curl -fsS "http://$B_ADDR/metrics" >"$tmp/b.metrics"
 grep '^vqserve_requests_total' "$tmp/a.metrics" | grep -qv ' 0$'
