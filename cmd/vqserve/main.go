@@ -1,6 +1,7 @@
 // Command vqserve is the always-on diagnosis daemon: it loads a trained
 // model, compiles it for serving, and classifies live session records
-// over HTTP through the sharded ingest pipeline of internal/serve.
+// over HTTP through the internal/serve engine, each request body on its
+// handler's goroutine.
 //
 // Usage:
 //
@@ -86,10 +87,10 @@ func main() {
 	var (
 		modelPath = flag.String("model", "model.json", "trained model: vqtrain JSON or binary snapshot (-emit-snapshot)")
 		addr      = flag.String("addr", ":8700", "HTTP listen address")
-		shards    = flag.Int("shards", 0, "ingest shards/workers (0 = NumCPU)")
-		queue     = flag.Int("queue", 256, "per-shard queue depth")
-		batch     = flag.Int("batch", 32, "max jobs drained per worker wakeup")
-		policy    = flag.String("policy", "block", "full-queue policy: block (backpressure) or shed")
+		shards    = flag.Int("shards", 0, "goroutines that classify one request body, its handler's included (0 = NumCPU)")
+		queue     = flag.Int("queue", 256, "admission: at most shards × queue rows admitted and unanswered at once")
+		batch     = flag.Int("batch", 32, "max rows per chunk: per model snapshot load and batch sweep")
+		policy    = flag.String("policy", "block", "full-admission policy: block (backpressure) or shed")
 		watch     = flag.Duration("watch", 0, "poll the model file and hot-reload on change (0 = off)")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGTERM")
 		logFmt    = flag.String("log-format", "text", "log output format: text or json")
@@ -233,10 +234,10 @@ func main() {
 	drainAndClose(logger, srv, eng, *drain)
 }
 
-// drainAndClose shuts the HTTP listener down with a deadline, drains
-// the engine's queues, and verifies the request accounting balances:
-// every request accepted into the pipeline was answered (classified or
-// failed) before exit. An imbalance means requests were dropped on the
+// drainAndClose shuts the HTTP listener down with a deadline, closes
+// the engine once its admitted rows are answered, and verifies the
+// request accounting balances: every admitted row was answered
+// (classified or failed) before exit. An imbalance means requests were dropped on the
 // floor and is reported as an error.
 func drainAndClose(logger *slog.Logger, srv *http.Server, eng *serve.Engine, deadline time.Duration) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)

@@ -4,8 +4,8 @@ package metrics
 // dependency-free counters/gauges/histograms registry with Prometheus
 // text exposition, written for the serving engine (the feature-vector
 // half above is the ML substrate). Series names may carry a literal
-// label set, e.g. `vqserve_queue_depth{shard="3"}`; series sharing a
-// base name form one family in the exposition output.
+// label set, e.g. `vqserve_stage_latency_seconds{stage="queue"}`;
+// series sharing a base name form one family in the exposition output.
 
 import (
 	"fmt"

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,66 +82,9 @@ func TestDiagnoseBatchWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestSameSessionCompletesInSubmissionOrder pins Request.ID's ordering
-// contract within one drained batch: a row that finishes early — an
-// explain row, or one failed by validation — must not complete before
-// an earlier plain row of the same session. A blocker parks the single
-// worker in its done callback so both rows queue into one batch.
-func TestSameSessionCompletesInSubmissionOrder(t *testing.T) {
-	nan := map[string]float64{"mobile.rtt": math.NaN()}
-	for name, late := range map[string]Request{
-		"explain": {ID: "s", Features: fv(150, 7), Explain: true},
-		"invalid": {ID: "s", Features: nan},
-	} {
-		t.Run(name, func(t *testing.T) {
-			e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 1})
-			defer e.Close()
-
-			blocked, release := make(chan struct{}), make(chan struct{})
-			var blockRes Result
-			if err := e.Submit(Request{ID: "block", Features: fv(50, 0)}, &blockRes, func() {
-				close(blocked)
-				<-release
-			}); err != nil {
-				t.Fatal(err)
-			}
-			<-blocked
-
-			var mu sync.Mutex
-			var order []string
-			var wg sync.WaitGroup
-			res := make([]Result, 2)
-			for i, req := range []Request{{ID: "s", Features: fv(50, 0)}, late} {
-				tag := [...]string{"plain", "late"}[i]
-				wg.Add(1)
-				if err := e.Submit(req, &res[i], func() {
-					mu.Lock()
-					order = append(order, tag)
-					mu.Unlock()
-					wg.Done()
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			close(release)
-			wg.Wait()
-
-			if len(order) != 2 || order[0] != "plain" || order[1] != "late" {
-				t.Fatalf("same-session completion order = %v, want [plain late]", order)
-			}
-			if res[0].Err != "" || res[0].Class != "good" {
-				t.Fatalf("plain row: %+v", res[0])
-			}
-			if (late.Explain && res[1].Rule == "") || (!late.Explain && res[1].Err == "") {
-				t.Fatalf("late row answered wrongly: %+v", res[1])
-			}
-		})
-	}
-}
-
 // panicPredictor poisons the batch sweep itself: prep succeeds, then
 // PredictBatchIdx panics. The sweep is the engine's only classification
-// path, so the worker's sweep recovery is what is on trial.
+// path, so the sweep's recovery is what is on trial.
 type panicPredictor struct {
 	sweeps atomic.Int64
 }
@@ -165,8 +107,8 @@ func (p *panicPredictor) PredictBatchIdx(*c45.Matrix, *c45.BatchScratch, []int32
 // TestBatchSweepPanicRecovered pins the batch-path recovery added with
 // the pooled-matrix pipeline: a panic inside PredictBatchIdx must fail
 // every request of that sweep with a recovered-panic error, trip the
-// PR-5 panic counter, keep the accounting invariant, and leave the
-// shard workers alive to serve the next (healthy) model.
+// panic counter, keep the accounting invariant, and leave the engine
+// able to serve the next (healthy) model.
 func TestBatchSweepPanicRecovered(t *testing.T) {
 	stub := &panicPredictor{}
 	bad := NewModel("exact", nil, stub)
@@ -194,7 +136,7 @@ func TestBatchSweepPanicRecovered(t *testing.T) {
 		t.Fatalf("accounting broken after sweep panics: submitted=%d requests=%d errs=%d", sub, reqd, errs)
 	}
 
-	// The workers must have survived: a hot reload to a healthy model
+	// The engine must have survived: a hot reload to a healthy model
 	// serves the next batch normally.
 	e.Reload(testModel(t, "lan_cong_severe"))
 	res = e.DiagnoseBatch([]Request{{ID: "ok", Features: fv(150, 7)}})
@@ -250,8 +192,7 @@ func grepLines(body, substr string) string {
 
 // TestDiagnoseBatchAllocs bounds a 100-row batch's allocations by far
 // fewer than one per row: the results slice and a few fixed costs. A
-// per-row closure (a method value made inside the submit loop) would
-// add a hundred.
+// per-row allocation would add a hundred.
 func TestDiagnoseBatchAllocs(t *testing.T) {
 	e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 1, MaxBatch: 32})
 	defer e.Close()
@@ -259,7 +200,7 @@ func TestDiagnoseBatchAllocs(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{ID: "s" + string(rune('a'+i%26)), Features: fv(float64(10+i), float64(i%10))}
 	}
-	e.DiagnoseBatch(reqs) // warm the worker's scratch
+	e.DiagnoseBatch(reqs) // warm the pooled scratch
 	if n := testing.AllocsPerRun(20, func() { e.DiagnoseBatch(reqs) }); n > 10 {
 		t.Fatalf("%v allocs per 100-row DiagnoseBatch, want at most 10", n)
 	}

@@ -41,8 +41,7 @@ func (c *stepClock) count() int {
 }
 
 // newClockedEngine starts an engine whose clock is a stepClock. The
-// fake goes in before the first submission, so the workers, blocked on
-// their empty queues, read only it.
+// fake goes in before the first body, so every stage reads only it.
 func newClockedEngine(t *testing.T, cfg Config, step time.Duration) (*Engine, *stepClock) {
 	t.Helper()
 	e := NewEngine(testModel(t, "lan_cong_severe"), cfg)
@@ -59,8 +58,8 @@ func stageHist(e *Engine, stage string) *metrics.Histogram {
 }
 
 // TestClockReadsPerBody bounds the engine's clock reads for one 100-row
-// body: one for the body's enqueue, then one per drained batch at
-// dequeue and two per sweep. Reading per row made ~4 per row.
+// body: one for the body's enqueue, then one per chunk at admission
+// and two per sweep. Reading per row made ~4 per row.
 func TestClockReadsPerBody(t *testing.T) {
 	e, clk := newClockedEngine(t, Config{Shards: 1, MaxBatch: 32}, time.Microsecond)
 	reqs := make([]Request, 100)
@@ -79,16 +78,17 @@ func TestClockReadsPerBody(t *testing.T) {
 }
 
 // TestStageTimingsFixedStep pins every stage's timing on a clock that
-// advances 1s per reading. A first one-row body wedges the worker
-// inside prep while a second, four-row body queues behind it; the
-// second body then drains as one batch and one sweep. The readings in
-// order are: body 1 enqueued (1s), dequeued (2s); body 2 enqueued
-// (3s); body 1 prepped (4s), swept (5s); body 2 dequeued (6s), prepped
+// advances 1s per reading. A first one-row body wedges inside prep,
+// holding one of the engine's four rows of admission, so a second,
+// four-row body waits for admission until the first is answered; it is
+// then admitted as one chunk and classified in one sweep. The readings
+// in order are: body 1 enqueued (1s), admitted (2s); body 2 enqueued
+// (3s); body 1 prepped (4s), swept (5s); body 2 admitted (6s), prepped
 // (7s), swept (8s).
 func TestStageTimingsFixedStep(t *testing.T) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	e, _ := newClockedEngine(t, Config{Shards: 1, InjectFault: func(*Request) error {
+	e, _ := newClockedEngine(t, Config{Shards: 1, QueueDepth: 4, InjectFault: func(*Request) error {
 		once.Do(func() { close(entered); <-gate })
 		return nil
 	}}, time.Second)
@@ -101,9 +101,7 @@ func TestStageTimingsFixedStep(t *testing.T) {
 		body[i] = Request{ID: "second", Features: fv(150, 8)}
 	}
 	go func() { defer wg.Done(); e.DiagnoseBatch(body) }()
-	for len(e.shards[0].ch) < len(body) {
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiters(e, 1)
 	close(gate)
 	wg.Wait()
 
@@ -128,9 +126,9 @@ func TestStageTimingsFixedStep(t *testing.T) {
 }
 
 // TestStageCountsMatchAccounting runs one engine through plain rows, an
-// explain row, a NaN row and a panicking row, then drains it. Every drained row waited in its queue, so the queue
-// stage counts every submission; only classified rows reach the other
-// stages.
+// explain row, a NaN row and a panicking row, then drains it. Every
+// admitted row waited for admission, so the queue stage counts every
+// submission; only classified rows reach the other stages.
 func TestStageCountsMatchAccounting(t *testing.T) {
 	e, _ := newClockedEngine(t, Config{
 		Shards: 1,

@@ -1,11 +1,12 @@
 // Package serve is the online diagnosis engine: the deployable,
 // always-on form of the paper's diagnostic tool. It classifies live
-// session records through an immutable compiled-model snapshot behind a
-// sharded, batching ingest pipeline with backpressure, supports hot
-// model reload without dropping in-flight requests, and exposes
-// stdlib-only observability (Prometheus-text /metrics, /healthz, and an
-// NDJSON /diagnose endpoint). cmd/vqserve is a thin daemon over this
-// package; vqprobe.NewEngine is the public entry point.
+// session records through an immutable compiled-model snapshot, each
+// body on its caller's goroutine in pooled batch sweeps under a
+// row-count admission limit, supports hot model reload without
+// dropping in-flight requests, and exposes stdlib-only observability
+// (Prometheus-text /metrics, /healthz, and an NDJSON /diagnose
+// endpoint). cmd/vqserve is a thin daemon over this package;
+// vqprobe.NewEngine is the public entry point.
 package serve
 
 import (
@@ -203,28 +204,33 @@ func ParseClass(cls string) (severity, cause string) {
 	return "", cls
 }
 
-// Policy selects the engine's behavior when a shard queue is full.
+// Policy selects the engine's behavior when admission is full: when
+// Shards × QueueDepth rows are already admitted and unanswered.
 type Policy int
 
 const (
-	// Block applies backpressure: Submit waits for queue space.
+	// Block applies backpressure: a chunk waits until its rows fit.
 	Block Policy = iota
-	// Shed rejects the request immediately and counts it in
-	// vqserve_shed_total.
+	// Shed answers the rows that do not fit with ErrOverloaded at once
+	// and counts them in vqserve_shed_total.
 	Shed
 )
 
 // Config tunes the engine. The zero value is usable.
 type Config struct {
-	// Shards is the worker/queue count; sessions hash to a shard by ID.
+	// Shards caps the goroutines that classify one body: its caller
+	// plus up to Shards-1 helpers, one chunk each at a time. Concurrent
+	// callers classify their bodies at once, bounded only by admission.
 	// Zero selects runtime.NumCPU().
 	Shards int
-	// QueueDepth is the per-shard bounded queue size. Zero selects 256.
+	// QueueDepth sizes admission: at most Shards × QueueDepth rows are
+	// admitted and unanswered across all callers. Zero selects 256.
 	QueueDepth int
-	// MaxBatch caps how many queued requests a worker drains per model
-	// snapshot load. Zero selects 32.
+	// MaxBatch caps a chunk, the rows classified per model snapshot
+	// load and batch sweep; a chunk is also never larger than the
+	// admission limit. Zero selects 32.
 	MaxBatch int
-	// Policy is the full-queue behavior (default Block).
+	// Policy is the full-admission behavior (default Block).
 	Policy Policy
 	// Registry receives the engine's metrics; one is created if nil.
 	Registry *metrics.Registry
@@ -241,9 +247,9 @@ type Config struct {
 	// result as opaque JSON so serve carries no dependency on the
 	// telemetry plane.
 	AlertsFunc func() any
-	// InjectFault, when set, runs inside the worker just before
-	// classification. A non-nil return fails the request with that
-	// error; a panic exercises the worker's recovery path. This is the
+	// InjectFault, when set, runs on each admitted row just before
+	// normalization. A non-nil return fails the request with that
+	// error; a panic exercises the per-row recovery path. This is the
 	// chaos-testing seam (internal/chaos) — leave nil in production.
 	InjectFault func(*Request) error
 }
@@ -266,8 +272,9 @@ func (c Config) withDefaults() Config {
 
 // Request is one session to classify.
 type Request struct {
-	// ID identifies the session; requests with equal IDs are processed
-	// on the same shard, in submission order.
+	// ID identifies the session and is echoed in the result. The engine
+	// keeps no order among requests with equal IDs: DiagnoseBatch
+	// answers by index.
 	ID string `json:"id"`
 	// Features is the raw (un-normalized) merged feature vector, keys
 	// as produced by the probes / CSV header.
@@ -278,11 +285,11 @@ type Request struct {
 	// decodedBy, set by the /diagnose handler, is the snapshot whose
 	// keys chose which features were decoded, and vals the decoded
 	// values in that snapshot's slots (Model.names), cut from the
-	// body's pooled slab; Features is nil. The worker classifies the
+	// body's pooled slab; Features is nil. The engine classifies the
 	// request against decodedBy, never against a later snapshot whose
 	// slots differ or that reads keys the decode skipped. decodedBy is
 	// nil for callers that pass feature maps: they get the snapshot
-	// current when their batch is drained.
+	// current when their chunk is admitted.
 	decodedBy *snapshotRef
 	vals      []float64
 }
@@ -315,17 +322,30 @@ var (
 )
 
 // Engine is the online diagnosis engine. Create with NewEngine, feed
-// with Submit/DiagnoseBatch or the HTTP Handler, swap models with
-// Reload, and drain with Close.
+// with DiagnoseBatch or the HTTP Handler, swap models with Reload, and
+// drain with Close. It keeps no goroutines between calls: each body is
+// classified on its caller's goroutine and up to Shards-1 helpers that
+// end with the call.
 type Engine struct {
-	cfg    Config
-	model  atomic.Pointer[Model]
-	shards []*shard
-	next   atomic.Uint64 // round-robin for requests without an ID
+	cfg   Config
+	model atomic.Pointer[Model]
 
-	mu      sync.RWMutex // guards closed against in-flight submits
-	closed  bool
-	workers sync.WaitGroup
+	// Admission: at most limit rows are admitted and unanswered at
+	// once, and a body is classified in chunks of at most chunk rows.
+	// mu guards the fields below it; room is broadcast when rows are
+	// released while someone waits, and on Close.
+	limit, chunk int
+	mu           sync.Mutex
+	room         sync.Cond
+	admitted     int
+	waiting      int
+	closed       bool
+	// free holds the scratch of every chunk not in flight: admission
+	// hands one out and release takes it back, under the lock both
+	// already hold, so there is at most one per chunk ever in flight at
+	// once. A sync.Pool would cost its own synchronization, and under
+	// the race detector it drops a quarter of what it is given.
+	free []*batchScratch
 
 	// reloadErr holds the last failed reload's error message; nil when
 	// the engine is healthy. A failed reload never replaces the served
@@ -341,7 +361,7 @@ type Engine struct {
 	// now is the engine's clock: enqueue stamps, stage timings and
 	// uptime all read it, and nothing else in the engine reads the
 	// time. It is wall time in service; tests swap in a fake before the
-	// first submission to pin or count the readings.
+	// first body to pin or count the readings.
 	now func() time.Time
 
 	reg   *metrics.Registry
@@ -349,21 +369,17 @@ type Engine struct {
 	start time.Time
 }
 
-// NewEngine starts the shard workers and returns a ready engine
-// serving the given snapshot.
+// NewEngine returns a ready engine serving the given snapshot.
 func NewEngine(m *Model, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, reg: cfg.Registry, now: time.Now}
+	e.limit = cfg.Shards * cfg.QueueDepth
+	e.chunk = min(cfg.MaxBatch, e.limit)
+	e.room.L = &e.mu
 	e.start = e.now()
 	e.model.Store(m)
 	e.obs = newObs(e.reg)
 	e.setModelGauges(m)
-	for i := 0; i < cfg.Shards; i++ {
-		sh := newShard(i, cfg.QueueDepth, e.reg)
-		e.shards = append(e.shards, sh)
-		e.workers.Add(1)
-		go e.runWorker(sh)
-	}
 	return e
 }
 
@@ -374,7 +390,7 @@ func (e *Engine) Model() *Model { return e.model.Load() }
 func (e *Engine) Registry() *metrics.Registry { return e.reg }
 
 // Reload atomically swaps in a new model snapshot. In-flight requests
-// finish against whichever snapshot their batch loaded; nothing is
+// finish against whichever snapshot their chunk loaded; nothing is
 // dropped. A successful reload clears any degraded state left by a
 // previously failed one.
 func (e *Engine) Reload(m *Model) {
@@ -429,37 +445,6 @@ func (e *Engine) LastReloadError() string {
 	return ""
 }
 
-// Submit enqueues one request. res is written and done invoked exactly
-// once when the request completes; on a non-nil error neither happens.
-func (e *Engine) Submit(req Request, res *Result, done func()) error {
-	return e.submit(req, res, done, e.now())
-}
-
-// submit is Submit with the enqueue time enq supplied, so one clock
-// reading serves a whole DiagnoseBatch round.
-func (e *Engine) submit(req Request, res *Result, done func(), enq time.Time) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return ErrClosed
-	}
-	sh := e.shards[e.shardFor(req.ID)]
-	j := job{req: req, res: res, done: done, enq: enq}
-	if e.cfg.Policy == Shed {
-		select {
-		case sh.ch <- j:
-		default:
-			e.obs.shed.Inc()
-			return ErrOverloaded
-		}
-	} else {
-		sh.ch <- j
-	}
-	e.obs.submitted.Inc()
-	sh.depth.Set(float64(len(sh.ch)))
-	return nil
-}
-
 // ValidateFeatures rejects feature vectors carrying NaN or ±Inf
 // values. NaN is the pipeline's internal missing-value sentinel: letting
 // it in from a client would silently classify the record down the
@@ -481,51 +466,122 @@ func ValidateFeatures(fv map[string]float64) error {
 	return nil
 }
 
-// DiagnoseBatch classifies a batch through the pipeline and returns
-// results in request order. Requests rejected by the shed policy (or a
-// closed engine) come back at once with Err set; the rest wait for
-// their answers. The batch reads the clock once: its rows share one
+// DiagnoseBatch classifies a batch and returns results in request
+// order. The body splits into chunks of at most MaxBatch rows, taken by
+// the calling goroutine and up to Shards-1 helpers; each chunk is
+// admitted, then classified by one snapshot in one batch sweep. Rows
+// refused admission (by the shed policy or a closed engine) are
+// answered with Err set. The batch reads the clock once for its
 // enqueue time.
 func (e *Engine) DiagnoseBatch(reqs []Request) []Result {
 	res := make([]Result, len(reqs))
 	e.obs.inflight.Add(float64(len(reqs)))
 	defer e.obs.inflight.Add(-float64(len(reqs)))
-	var wg sync.WaitGroup
-	wg.Add(len(reqs)) // each row is Done once: answered, failed or shed
-	done := wg.Done   // one method value for every row, not a closure per row
 	enq := e.now()
-	for i := range reqs {
-		if err := e.submit(reqs[i], &res[i], done, enq); err != nil {
-			res[i] = Result{ID: reqs[i].ID, Err: err.Error()}
-			wg.Done()
-		}
+	chunks := (len(reqs) + e.chunk - 1) / e.chunk
+	if helpers := min(e.cfg.Shards, chunks) - 1; helpers > 0 {
+		e.fanOut(reqs, res, enq, helpers)
+		return res
 	}
-	wg.Wait()
+	for lo := 0; lo < len(reqs); lo += e.chunk {
+		hi := min(lo+e.chunk, len(reqs))
+		e.runChunk(reqs[lo:hi], res[lo:hi], enq)
+	}
 	return res
 }
 
+// fanOut runs a body's chunks on the calling goroutine and helpers
+// more, each taking the next untaken chunk until none is left.
+func (e *Engine) fanOut(reqs []Request, res []Result, enq time.Time, helpers int) {
+	var next atomic.Int64
+	take := func() {
+		for {
+			lo := int(next.Add(1)-1) * e.chunk
+			if lo >= len(reqs) {
+				return
+			}
+			hi := min(lo+e.chunk, len(reqs))
+			e.runChunk(reqs[lo:hi], res[lo:hi], enq)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for range helpers {
+		go func() {
+			defer wg.Done()
+			take()
+		}()
+	}
+	take()
+	wg.Wait()
+}
+
+// admit reserves room for a chunk of want rows and returns how many
+// rows it admitted, with a scratch to classify them in (nil when none
+// was admitted) and the error that refuses the rest. Under Block it
+// waits until all want fit; a chunk is never larger than the limit, so
+// it fits once the admitted rows are answered, and a large body cannot
+// deadlock. Under Shed it admits what fits now. A closed engine admits
+// nothing.
+func (e *Engine) admit(want int) (int, *batchScratch, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.cfg.Policy == Block && !e.closed && e.admitted+want > e.limit {
+		e.waiting++
+		e.room.Wait()
+		e.waiting--
+	}
+	if e.closed {
+		return 0, nil, ErrClosed
+	}
+	n := min(want, e.limit-e.admitted)
+	e.admitted += n
+	e.obs.submitted.Add(uint64(n))
+	e.obs.shed.Add(uint64(want - n))
+	if n == 0 {
+		return 0, nil, ErrOverloaded
+	}
+	var ws *batchScratch
+	if k := len(e.free); k > 0 {
+		ws, e.free = e.free[k-1], e.free[:k-1]
+	} else {
+		ws = new(batchScratch)
+	}
+	return n, ws, ErrOverloaded
+}
+
+// release returns n answered rows' room to admission, and their
+// chunk's scratch to the free list.
+func (e *Engine) release(n int, ws *batchScratch) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.admitted -= n
+	e.free = append(e.free, ws)
+	if e.waiting > 0 {
+		e.room.Broadcast()
+	}
+}
+
 // Counters returns the engine's request accounting. After Close has
-// drained the pipeline the invariant submitted == requests + errors
-// must hold: every request accepted into a queue is answered exactly
-// once, classified or failed. Shed requests never enter the pipeline
-// and appear only in shed.
+// drained the engine the invariant submitted == requests + errors
+// must hold: every admitted row is answered exactly once, classified
+// or failed. Shed rows are never admitted and appear only in shed.
 func (e *Engine) Counters() (submitted, requests, errors, shed uint64) {
 	return e.obs.submitted.Value(), e.obs.requests.Value(), e.obs.errs.Value(), e.obs.shed.Value()
 }
 
-// Close stops intake, drains every queued request, and waits for the
-// workers to exit. Safe to call more than once.
+// Close stops admission, answering every row not yet admitted with
+// ErrClosed (a Block waiter included), and returns once every admitted
+// row has been answered. Safe to call more than once.
 func (e *Engine) Close() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
+	defer e.mu.Unlock()
 	e.closed = true
-	e.mu.Unlock()
-	for _, sh := range e.shards {
-		close(sh.ch)
+	e.room.Broadcast()
+	for e.admitted > 0 {
+		e.waiting++
+		e.room.Wait()
+		e.waiting--
 	}
-	e.workers.Wait()
 	return nil
 }

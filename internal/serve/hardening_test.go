@@ -2,7 +2,7 @@ package serve
 
 // Regression tests for the robustness sweep (docs/ROBUSTNESS.md): every
 // fault class the chaos harness surfaced in the serving layer is pinned
-// here — worker panics, non-finite features, shed rows, graceful
+// here — classification panics, non-finite features, shed rows, graceful
 // degradation on failed reloads, and the request accounting invariant.
 
 import (
@@ -12,18 +12,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"vqprobe/internal/reqscan"
 )
 
-// TestWorkerPanicRecovered pins the tentpole serving bug: a panic while
-// classifying one request used to kill the shard worker goroutine,
-// permanently deadlocking every later request hashed to that shard (and
-// Close). It must instead surface as a per-request error, for plain and
-// explain requests alike.
+// TestWorkerPanicRecovered pins a serving bug: a panic while
+// classifying one request used to kill the goroutine classifying it,
+// deadlocking every later request it would have served (and Close). It
+// must instead surface as a per-request error, for plain and explain
+// requests alike.
 func TestWorkerPanicRecovered(t *testing.T) {
 	m := testModel(t, "lan_cong_severe")
 	e := NewEngine(m, Config{
@@ -64,8 +63,8 @@ func TestWorkerPanicRecovered(t *testing.T) {
 		}
 	}
 
-	// The engine must still work and still drain: a dead worker would
-	// hang either of these.
+	// The engine must still work and still drain: admission a panic
+	// never gave back would hang either of these.
 	after := e.DiagnoseBatch([]Request{{ID: "after", Features: fv(50, 0)}})
 	if after[0].Class != "good" {
 		t.Fatalf("engine degraded after panics: %+v", after[0])
@@ -80,31 +79,6 @@ func TestWorkerPanicRecovered(t *testing.T) {
 	}
 	if v := e.obs.panics.Value(); v != 14 {
 		t.Errorf("panics counter = %d, want 14", v)
-	}
-}
-
-// TestDonePanicDoesNotKillWorker covers the second panic path: a
-// caller-supplied done callback that panics after the job completed.
-func TestDonePanicDoesNotKillWorker(t *testing.T) {
-	m := testModel(t, "lan_cong_severe")
-	e := NewEngine(m, Config{Shards: 1})
-	defer e.Close()
-
-	var res Result
-	var wg sync.WaitGroup
-	wg.Add(1)
-	if err := e.Submit(Request{ID: "a", Features: fv(50, 0)}, &res, func() {
-		wg.Done()
-		panic("done callback exploded")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-
-	// The worker survived: a follow-up request on the same shard works.
-	after := e.DiagnoseBatch([]Request{{ID: "b", Features: fv(50, 0)}})
-	if after[0].Err != "" || after[0].Class != "good" {
-		t.Fatalf("worker died with its done callback: %+v", after[0])
 	}
 }
 
@@ -138,45 +112,17 @@ func TestNonFiniteFeaturesRejected(t *testing.T) {
 	}
 }
 
-// wedgedEngine builds an engine whose single shard is saturated: the
-// worker is wedged on the gate channel and both queue slots are full,
-// so every further Submit sheds deterministically until the gate opens.
-// The returned WaitGroup is done when both filler jobs complete.
-func wedgedEngine(t *testing.T) (e *Engine, gate chan struct{}, fillers *sync.WaitGroup) {
-	t.Helper()
-	gate = make(chan struct{})
-	wedged := make(chan struct{}, 2)
-	e = NewEngine(testModel(t, "lan_cong_severe"), Config{
-		Shards: 1, QueueDepth: 1, MaxBatch: 1, Policy: Shed,
-		InjectFault: func(r *Request) error {
-			if strings.HasPrefix(r.ID, "filler") {
-				wedged <- struct{}{}
-				<-gate
-			}
-			return nil
-		},
-	})
-	fillers = &sync.WaitGroup{}
-	var res [2]Result
-	for i := 0; i < 2; i++ {
-		fillers.Add(1)
-		if err := e.Submit(Request{ID: fmt.Sprintf("filler%d", i), Features: fv(50, 0)}, &res[i], fillers.Done); err != nil {
-			t.Fatalf("filler %d rejected: %v", i, err)
-		}
-		if i == 0 {
-			<-wedged // the worker holds filler0; the queue slot is free again
-		}
-	}
-	return e, gate, fillers
-}
-
 // TestBatchShedNonBlocking: under the Shed policy, DiagnoseBatch
-// answers every row a full queue rejects with ErrOverloaded at once. It
-// returns while the worker is still wedged, so a shed row never waits
-// on the queue it was refused by.
+// answers every row that full admission refuses with ErrOverloaded at
+// once. It returns while the admitted rows are still wedged, so a shed
+// row never waits on the room it was refused.
 func TestBatchShedNonBlocking(t *testing.T) {
 	const rows = 10
-	e, gate, fillers := wedgedEngine(t)
+	w := newWedge()
+	e := NewEngine(testModel(t, "lan_cong_severe"), Config{
+		Shards: 1, QueueDepth: 2, Policy: Shed, InjectFault: w.fault,
+	})
+	held := w.hold(e, 2) // all of the admission limit
 	var reqs []Request
 	for i := 0; i < rows; i++ {
 		reqs = append(reqs, Request{ID: fmt.Sprintf("r%d", i), Features: fv(50, 0)})
@@ -187,15 +133,15 @@ func TestBatchShedNonBlocking(t *testing.T) {
 	select {
 	case res = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("DiagnoseBatch blocked on a saturated shard")
+		t.Fatal("DiagnoseBatch blocked on full admission")
 	}
 	for i, r := range res {
 		if r.ID != reqs[i].ID || r.Err != ErrOverloaded.Error() {
 			t.Fatalf("row %d on a saturated engine answered %+v, want shed", i, r)
 		}
 	}
-	close(gate)
-	fillers.Wait()
+	w.release()
+	<-held
 	e.Close()
 	submitted, requests, errs, shed := e.Counters()
 	if submitted != 2 || requests != 2 || errs != 0 || shed != rows {

@@ -23,8 +23,8 @@ var lineBufs = sync.Pool{New: func() any { b := make([]byte, 64*1024); return &b
 
 // slabs holds the per-body []float64 every decoded line's value slots
 // are cut from, and outBufs the buffer answers are encoded into. Each
-// goes back only after the body's batch has been answered: the
-// workers read a row's slots before they complete its job.
+// goes back only after the body's batch has been answered, and
+// DiagnoseBatch reads a row's slots before it returns.
 var (
 	slabs   = sync.Pool{New: func() any { return new([]float64) }}
 	outBufs = sync.Pool{New: func() any { b := make([]byte, 0, flushAt+4096); return &b }}
@@ -90,7 +90,7 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"features":       len(m.Schema()),
 		"classes":        len(m.Classes()),
 		"model":          m.Info(),
-		"shards":         len(e.shards),
+		"shards":         e.cfg.Shards,
 		"uptime_seconds": int64(e.now().Sub(e.start).Seconds()),
 	}
 	// A failed reload leaves the engine answering from the last-good

@@ -85,12 +85,26 @@ func BenchmarkDiagnoseHandlerNarrow(b *testing.B) { benchDiagnose(b, 100, fv(150
 // BenchmarkDiagnoseHandlerNarrow: the same 100 narrow rows, decoded
 // into their slots once before the timer starts, through DiagnoseBatch
 // alone. It reports ns/row.
-func BenchmarkEngineBatchNarrow(b *testing.B) {
+func BenchmarkEngineBatchNarrow(b *testing.B) { benchEngine(b, 100) }
+
+// BenchmarkEngineBatch1Row is BenchmarkEngineBatchNarrow on a 1-row
+// body, the body shape of vqbench's interactive workload, where the
+// engine's cost per body is all of its cost per row.
+func BenchmarkEngineBatch1Row(b *testing.B) { benchEngine(b, 1) }
+
+// BenchmarkEngineBatch8Rows is BenchmarkEngineBatchNarrow on an 8-row
+// body, the body shape of vqbench's bulk-wide workload.
+func BenchmarkEngineBatch8Rows(b *testing.B) { benchEngine(b, 8) }
+
+// benchEngine times one DiagnoseBatch call per iteration on a body of
+// rows narrow rows, decoded into their slots once before the timer
+// starts, on a one-shard engine, and reports ns/row.
+func benchEngine(b *testing.B, rows int) {
 	e := NewEngine(testModel(b, "lan_cong_severe"), Config{Shards: 1})
 	defer e.Close()
 	snap := &snapshotRef{m: e.Model()}
 	width := snap.m.keys.Len()
-	lines := bytes.Split(bytes.TrimSuffix(benchBody(b, 100, fv(150, 8)), []byte("\n")), []byte("\n"))
+	lines := bytes.Split(bytes.TrimSuffix(benchBody(b, rows, fv(150, 8)), []byte("\n")), []byte("\n"))
 	vals := make([]float64, len(lines)*width)
 	reqs := make([]Request, len(lines))
 	for i, line := range lines {

@@ -199,64 +199,70 @@ func TestEngineDiagnoseBatch(t *testing.T) {
 	}
 }
 
+// TestEngineDrainOnClose: Close answers a Block waiter with ErrClosed
+// at once, returns only after the rows already admitted are answered,
+// and drops none of them; a body sent after Close is refused whole.
 func TestEngineDrainOnClose(t *testing.T) {
-	e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 2, QueueDepth: 512})
-	const n = 500
-	res := make([]Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		if err := e.Submit(Request{ID: fmt.Sprint(i), Features: fv(180, 9)}, &res[i], wg.Done); err != nil {
-			t.Fatal(err)
+	w := newWedge()
+	e := NewEngine(testModel(t, "lan_cong_severe"), Config{Shards: 1, QueueDepth: 2, InjectFault: w.fault})
+	held := w.hold(e, 2) // all of the admission limit
+	waiter := make(chan []Result, 1)
+	go func() { waiter <- e.DiagnoseBatch([]Request{{ID: "late", Features: fv(180, 9)}}) }()
+	awaitWaiters(e, 1)
+
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	if r := <-waiter; r[0].ID != "late" || r[0].Err != ErrClosed.Error() {
+		t.Fatalf("Block waiter at Close answered %+v, want ErrClosed", r[0])
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while admitted rows were unanswered")
+	default:
+	}
+	w.release()
+	<-closed
+	for i, r := range <-held {
+		if r.Class != "good" {
+			t.Fatalf("admitted row %d dropped on close: %+v", i, r)
 		}
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	for i := range res {
-		if res[i].Class != "lan_cong_severe" {
-			t.Fatalf("request %d dropped on close: %+v", i, res[i])
+	for i, r := range e.DiagnoseBatch([]Request{{ID: "a", Features: fv(20, 0)}, {ID: "b", Features: fv(20, 0)}}) {
+		if r.Err != ErrClosed.Error() {
+			t.Fatalf("row %d after Close = %+v, want ErrClosed", i, r)
 		}
 	}
-	if _, err := e.Close(), e.Submit(Request{}, &Result{}, func() {}); err != ErrClosed {
-		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	if sub, reqd, errs, shed := e.Counters(); sub != 2 || reqd != 2 || errs != 0 || shed != 0 {
+		t.Errorf("submitted=%d classified=%d errors=%d shed=%d, want 2, 2, 0 and 0", sub, reqd, errs, shed)
 	}
 }
 
+// TestEngineShedPolicy: under Shed, with admission partly held by
+// wedged rows, a body's rows past the room come back ErrOverloaded and
+// the rest are classified, without waiting for the wedge.
 func TestEngineShedPolicy(t *testing.T) {
+	w := newWedge()
 	e := NewEngine(testModel(t, "lan_cong_severe"), Config{
-		Shards: 1, QueueDepth: 1, MaxBatch: 1, Policy: Shed,
+		Shards: 1, QueueDepth: 8, Policy: Shed, InjectFault: w.fault,
 	})
-	defer e.Close()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var r1, r2 Result
-	// Job 1 stalls the worker inside its completion callback.
-	if err := e.Submit(Request{ID: "a", Features: fv(20, 0)}, &r1, func() {
-		close(started)
-		<-release
-		wg.Done()
-	}); err != nil {
-		t.Fatal(err)
+	held := w.hold(e, 3) // room for 5 more
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		reqs[i] = Request{ID: fmt.Sprint(i), Features: fv(20, 0)}
 	}
-	<-started
-	// Worker is stalled: job 2 fills the depth-1 queue, job 3 sheds.
-	if err := e.Submit(Request{ID: "b", Features: fv(20, 0)}, &r2, wg.Done); err != nil {
-		t.Fatal(err)
+	for i, r := range e.DiagnoseBatch(reqs) { // returns while the wedge holds
+		if (i < 5 && r.Class != "good") || (i >= 5 && r.Err != ErrOverloaded.Error()) {
+			t.Fatalf("row %d of a body with room for 5: %+v", i, r)
+		}
 	}
-	if err := e.Submit(Request{ID: "c", Features: fv(20, 0)}, &Result{}, func() {}); err != ErrOverloaded {
-		t.Fatalf("expected ErrOverloaded, got %v", err)
+	if got := e.Registry().Counter("vqserve_shed_total", "").Value(); got != 3 {
+		t.Fatalf("vqserve_shed_total = %d, want 3", got)
 	}
-	if got := e.Registry().Counter("vqserve_shed_total", "").Value(); got != 1 {
-		t.Fatalf("vqserve_shed_total = %d, want 1", got)
-	}
-	close(release)
-	wg.Wait()
-	if r1.Class != "good" || r2.Class != "good" {
-		t.Fatalf("queued jobs not processed: %+v %+v", r1, r2)
+	w.release()
+	<-held
+	e.Close()
+	if sub, reqd, errs, _ := e.Counters(); sub != 8 || reqd != 8 || errs != 0 {
+		t.Errorf("submitted=%d classified=%d errors=%d, want 8, 8 and 0", sub, reqd, errs)
 	}
 }
 
@@ -440,7 +446,7 @@ func wideRow() map[string]float64 {
 // TestReloadKeepsDecodeSnapshot pins the hot-reload contract of the
 // /diagnose decode: a body is decoded for the keys of the snapshot
 // current at decode time, so it must be classified by that snapshot
-// even when a reload lands while it waits in the queue. Classified by
+// even when a reload lands while it waits for admission. Classified by
 // the new snapshot, the row would miss every key the new model reads
 // and get an answer that neither model gives on the full row.
 func TestReloadKeepsDecodeSnapshot(t *testing.T) {
@@ -453,18 +459,10 @@ func TestReloadKeepsDecodeSnapshot(t *testing.T) {
 		t.Fatalf("fixture cannot tell: A %q, B %q, B on A's keys %q", wantA, wantB, torn)
 	}
 
-	wedged, release := make(chan struct{}), make(chan struct{})
-	e := NewEngine(mA, Config{Shards: 1, InjectFault: func(r *Request) error {
-		if r.ID == "block" {
-			close(wedged)
-			<-release
-		}
-		return nil
-	}})
+	w := newWedge()
+	e := NewEngine(mA, Config{Shards: 1, QueueDepth: 1, InjectFault: w.fault})
 	defer e.Close()
-	blocker := make(chan []Result, 1)
-	go func() { blocker <- e.DiagnoseBatch([]Request{{ID: "block", Features: full}}) }()
-	<-wedged // the worker holds the first job
+	held := w.hold(e, 1) // the engine's one row of admission
 
 	line, err := json.Marshal(map[string]any{"id": "wide", "features": full})
 	if err != nil {
@@ -477,12 +475,10 @@ func TestReloadKeepsDecodeSnapshot(t *testing.T) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/diagnose", bytes.NewReader(line)))
 		answer <- rec.Body.String()
 	}()
-	for len(e.shards[0].ch) == 0 { // decoded against A and queued behind the first job
-		time.Sleep(time.Millisecond)
-	}
+	awaitWaiters(e, 1) // decoded against A, waiting for admission
 	e.Reload(mB)
-	close(release)
-	<-blocker
+	w.release()
+	<-held
 
 	var got Result
 	if err := json.Unmarshal([]byte(<-answer), &got); err != nil {

@@ -28,8 +28,10 @@
 # alone). The handler set (serve.http) times one in-process /diagnose
 # body per iteration, decode, engine and encode included: 8 wide rows
 # or 100 narrow ones, with ns/row beside ns/op. Beside it, the engine
-# bench (serve.engine) sends the same 100 narrow rows, decoded once
-# before the timer, through DiagnoseBatch alone.
+# benches (serve.engine) send the same 100 narrow rows, decoded once
+# before the timer, through DiagnoseBatch alone, and bodies of 1 and 8
+# of those rows, the body sizes of vqbench's interactive and bulk-wide
+# workloads.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +41,7 @@ INFER_BENCHES='BenchmarkPredictRowScalar|BenchmarkPredictBatch|BenchmarkForestPr
 LINT_BENCHES='BenchmarkSelfLintCold|BenchmarkSelfLintWarm'
 ROUTE_BENCHES='BenchmarkRouterDiagnose|BenchmarkRouterFailover'
 SCAN_BENCHES='BenchmarkScanWide|BenchmarkScanNarrow'
-HANDLER_BENCHES='BenchmarkDiagnoseHandlerWide|BenchmarkDiagnoseHandlerNarrow|BenchmarkEngineBatchNarrow'
+HANDLER_BENCHES='BenchmarkDiagnoseHandlerWide|BenchmarkDiagnoseHandlerNarrow|BenchmarkEngineBatchNarrow|BenchmarkEngineBatch1Row|BenchmarkEngineBatch8Rows'
 BASELINE=reports/BENCH.json
 MODE="${1:-run}"
 

@@ -3,8 +3,9 @@ package vqprobe
 // Serving API: the online counterpart of Train/Diagnose. A trained
 // Model compiles into an immutable CompiledModel (flat-array tree
 // evaluation, no map lookups on the hot path), and an Engine serves
-// compiled snapshots behind a sharded ingest pipeline with hot reload
-// and built-in observability. cmd/vqserve is a thin daemon over this
+// compiled snapshots, each request body classified on its caller's
+// goroutine under a row-count admission limit, with hot reload and
+// built-in observability. cmd/vqserve is a thin daemon over this
 // surface; docs/SERVING.md describes the architecture.
 
 import (
@@ -26,16 +27,18 @@ import (
 // evaluation. Snapshots are immutable and safe for concurrent use.
 type CompiledModel = serve.Model
 
-// Engine is the online diagnosis engine: sharded workers, bounded
-// queues with a backpressure policy, atomic model hot-reload, and an
+// Engine is the online diagnosis engine: batch classification on the
+// caller's goroutine (plus helpers for large bodies), row-count
+// admission with a backpressure policy, atomic model hot-reload, and an
 // HTTP surface (/diagnose, /healthz, /metrics) via Engine.Handler.
 type Engine = serve.Engine
 
 // EngineConfig tunes an Engine; the zero value selects NumCPU shards,
-// 256-deep queues and blocking backpressure.
+// admission for 256 rows per shard, 32-row chunks and blocking
+// backpressure.
 type EngineConfig = serve.Config
 
-// ServeRequest is one session submitted to an Engine.
+// ServeRequest is one session sent to an Engine.
 type ServeRequest = serve.Request
 
 // ServeResult is an Engine's answer for one request.

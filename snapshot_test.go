@@ -14,7 +14,7 @@ import (
 // exactly like the compiled JSON model, and must carry provenance
 // (content hash, load time) that the JSON path also records.
 func TestSnapshotRoundTripMatchesJSONModel(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestSnapshotRoundTripMatchesJSONModel(t *testing.T) {
 		t.Fatalf("snapshot lost the task: %q", fromSnap.Task())
 	}
 
-	for i, s := range facadeSessions {
+	for i, s := range facadeSessions() {
 		if i >= 60 {
 			break
 		}
@@ -81,7 +81,7 @@ func TestSnapshotRoundTripMatchesJSONModel(t *testing.T) {
 // TestLoadServingModelRejectsCorruptSnapshot pins the failure mode: a
 // damaged snapshot file must error out, never serve a wrong model.
 func TestLoadServingModelRejectsCorruptSnapshot(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.DetectSeverity, vqprobe.AllVantagePoints)
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.DetectSeverity, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}

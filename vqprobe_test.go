@@ -2,44 +2,46 @@ package vqprobe_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"vqprobe"
 )
 
-// facade tests share one small simulated corpus.
-var facadeSessions = func() []vqprobe.Session {
+// facade tests share one small simulated corpus, simulated on first
+// use so that a test or fuzz target that does not read it starts fast.
+var facadeSessions = sync.OnceValue(func() []vqprobe.Session {
 	return vqprobe.SimulateControlled(vqprobe.SimulationConfig{Sessions: 160, Seed: 3})
-}()
+})
 
 func TestTrainAndDiagnose(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.DetectSeverity, vqprobe.AllVantagePoints)
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.DetectSeverity, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(model.SelectedFeatures()) == 0 {
 		t.Fatal("no features selected")
 	}
-	conf, err := model.Evaluate(facadeSessions)
+	conf, err := model.Evaluate(facadeSessions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if conf.Accuracy() < 0.8 {
 		t.Errorf("training-set accuracy %.2f suspiciously low", conf.Accuracy())
 	}
-	d := model.DiagnoseSession(facadeSessions[0])
+	d := model.DiagnoseSession(facadeSessions()[0])
 	if d.Class == "" || d.Severity == "" {
 		t.Errorf("empty diagnosis: %+v", d)
 	}
 }
 
 func TestDiagnoseWithPartialRecords(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Only the mobile record available: must still produce a class.
-	s := facadeSessions[1]
+	s := facadeSessions()[1]
 	d := model.Diagnose(map[string]map[string]float64{
 		vqprobe.VPMobile: s.Records[vqprobe.VPMobile],
 	})
@@ -53,7 +55,7 @@ func TestDiagnoseWithPartialRecords(t *testing.T) {
 }
 
 func TestModelSaveLoadRoundTrip(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if back.Task != model.Task {
 		t.Errorf("task lost: %v", back.Task)
 	}
-	for i, s := range facadeSessions {
+	for i, s := range facadeSessions() {
 		if i >= 40 {
 			break
 		}
@@ -92,7 +94,7 @@ func TestDatasetExportTasks(t *testing.T) {
 		vqprobe.DetectSeverity, vqprobe.LocateProblem,
 		vqprobe.IdentifyRootCause, vqprobe.DetectProblem,
 	} {
-		d, err := vqprobe.Dataset(facadeSessions, task, []string{vqprobe.VPMobile})
+		d, err := vqprobe.Dataset(facadeSessions(), task, []string{vqprobe.VPMobile})
 		if err != nil {
 			t.Fatalf("%s: %v", task, err)
 		}
@@ -100,13 +102,13 @@ func TestDatasetExportTasks(t *testing.T) {
 			t.Errorf("%s produced an empty dataset", task)
 		}
 	}
-	if _, err := vqprobe.Dataset(facadeSessions, "bogus", nil); err == nil {
+	if _, err := vqprobe.Dataset(facadeSessions(), "bogus", nil); err == nil {
 		t.Error("unknown task accepted")
 	}
 }
 
 func TestTrainFromCSVRoundTrip(t *testing.T) {
-	d, err := vqprobe.Dataset(facadeSessions, vqprobe.DetectSeverity, vqprobe.AllVantagePoints)
+	d, err := vqprobe.Dataset(facadeSessions(), vqprobe.DetectSeverity, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestTrainFromCSVRoundTrip(t *testing.T) {
 }
 
 func TestTreeTextRenders(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.DetectSeverity, []string{vqprobe.VPMobile})
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.DetectSeverity, []string{vqprobe.VPMobile})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestSimulationDeterminism(t *testing.T) {
 }
 
 func TestFeatureRanking(t *testing.T) {
-	model, err := vqprobe.Train(facadeSessions, vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
+	model, err := vqprobe.Train(facadeSessions(), vqprobe.IdentifyRootCause, vqprobe.AllVantagePoints)
 	if err != nil {
 		t.Fatal(err)
 	}
